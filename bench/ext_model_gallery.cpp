@@ -58,7 +58,8 @@ void gallery(machines::Machine& m, long keys_per_node) {
 
   report::banner(std::cout,
                  std::string(m.name()) + " — bitonic (block transfers), " +
-                     report::Table::num(keys_per_node, 0) + " keys/node",
+                     report::Table::num(static_cast<double>(keys_per_node), 0) +
+                     " keys/node",
                  "");
   report::Table t({"model", "predicted (ms)", "measured (ms)", "rel err"});
   auto row = [&](const char* name, double pred) {

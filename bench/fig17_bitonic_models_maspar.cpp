@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     for (auto& k : keys) k = static_cast<std::uint32_t>(rng.next_u64());
     const auto word = algos::run_bitonic(*m, keys, algos::BitonicVariant::MpBsp);
     const auto block = algos::run_bitonic(*m, keys, algos::BitonicVariant::Bpram);
-    table.add_row({report::Table::num(mk, 0),
+    table.add_row({report::Table::num(static_cast<double>(mk), 0),
                    report::Table::num(word.time_per_key / 1e3, 2),
                    report::Table::num(block.time_per_key / 1e3, 2),
                    report::Table::num(word.time / block.time, 2)});

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
         algos::run_samplesort(*m, keys, S, algos::SampleSortVariant::Bpram);
     const auto packed = algos::run_samplesort(
         *m, keys, S, algos::SampleSortVariant::StaggeredPacked);
-    table.add_row({report::Table::num(mk, 0),
+    table.add_row({report::Table::num(static_cast<double>(mk), 0),
                    report::Table::num(bit.time_per_key / 1e3, 2),
                    report::Table::num(ss.time_per_key / 1e3, 2),
                    report::Table::num(packed.time_per_key / 1e3, 2)});

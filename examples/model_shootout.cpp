@@ -45,13 +45,18 @@ void shootout(pcm::machines::Machine& m, pcm::algos::BitonicVariant word_variant
               (word_variant == algos::BitonicVariant::MpBsp)
                   ? "words (MP-BSP model)"
                   : "words, barriers (BSP)",
-              word.time_per_key, word_pred / keys_per_node,
-              100.0 * (word_pred / keys_per_node - word.time_per_key) /
+              word.time_per_key,
+              word_pred / static_cast<double>(keys_per_node),
+              100.0 *
+                  (word_pred / static_cast<double>(keys_per_node) -
+                   word.time_per_key) /
                   word.time_per_key);
   std::printf("  %-26s measured %10.0f us/key   predicted %10.0f us/key (%+.0f%%)\n",
               "blocks (MP-BPRAM model)", block.time_per_key,
-              block_pred / keys_per_node,
-              100.0 * (block_pred / keys_per_node - block.time_per_key) /
+              block_pred / static_cast<double>(keys_per_node),
+              100.0 *
+                  (block_pred / static_cast<double>(keys_per_node) -
+                   block.time_per_key) /
                   block.time_per_key);
   std::printf("  -> both models agree blocks win; gain x%.1f\n",
               word.time / block.time);

@@ -148,7 +148,8 @@ sim::Micros predict_cannon(const machines::MasParXnetMachine& m, long n,
   }
   const sim::Micros rotations =
       2.0 * (s - 1) * xnet.shift_cost(1, block_bytes);
-  const double compute = m.compute().alpha * static_cast<double>(n) * n * n /
+  const double compute = m.compute().alpha * static_cast<double>(n) *
+                         static_cast<double>(n) * static_cast<double>(n) /
                          (static_cast<double>(s) * s);
   return compute + skew_cost + rotations;
 }

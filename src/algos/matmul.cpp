@@ -298,7 +298,8 @@ class MatmulRun {
     // (MP-BSP already charged per element on delivery).
     if (v_ != MatmulVariant::MpBsp) {
       const sim::Micros cost =
-          m_.compute().beta_sum * static_cast<double>(q_ - 1) * piece_elems();
+          m_.compute().beta_sum * static_cast<double>(q_ - 1) *
+          static_cast<double>(piece_elems());
       m_.charge_all(cost);
       m_.barrier();
     } else {

@@ -30,7 +30,8 @@ class PramModel {
   /// PRAM running-time predictions for the paper's algorithms: the
   /// computation terms of Section 4 with every communication term dropped.
   [[nodiscard]] sim::Micros matmul(double alpha, long n) const {
-    return alpha * static_cast<double>(n) * n * n / p_.P;
+    return alpha * static_cast<double>(n) * static_cast<double>(n) *
+           static_cast<double>(n) / p_.P;
   }
   [[nodiscard]] sim::Micros bitonic(sim::Micros local_sort,
                                     sim::Micros merge_per_key, long m_keys,
@@ -38,7 +39,8 @@ class PramModel {
     return local_sort + steps * merge_per_key * static_cast<double>(m_keys);
   }
   [[nodiscard]] sim::Micros apsp(double alpha, long n) const {
-    return alpha * static_cast<double>(n) * n * n / p_.P;
+    return alpha * static_cast<double>(n) * static_cast<double>(n) *
+           static_cast<double>(n) / p_.P;
   }
 
  private:

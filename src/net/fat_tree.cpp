@@ -75,7 +75,6 @@ void FatTree::route(const CommPattern& pattern, sim::ClockSet& clocks,
   // schedule cannot be precomputed per node. The heap is the manual
   // push_heap/pop_heap expansion of std::priority_queue (identical pop
   // order), seeded from the ascending active-sender view.
-  using Item = std::pair<sim::Micros, int>;  // (candidate injection start, src)
   heap_.clear();
   heap_.reserve(senders.size());  // one live entry per active sender
   touched_queues_.reserve(pattern.receivers().size());

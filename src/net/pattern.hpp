@@ -81,10 +81,6 @@ class CommPattern {
 
   void clear();
 
-  // The copying accessors flatten()/receive_counts()/send_counts() completed
-  // their deprecation cycle and are gone; the span views above are the only
-  // surface. pcm-lint's deprecated-api rule keeps them from creeping back.
-
   // --- analysis (paper Section 2); all O(active) ---------------------------
 
   /// h1: max messages sent by any processor.

@@ -71,7 +71,8 @@ sim::Micros apsp_total(const machines::LocalCompute& lc, long n, int procs,
                        sim::Micros t_bcast) {
   const double s = grid_side(procs);
   const double used = s * s;
-  return lc.alpha * static_cast<double>(n) * n * n / used +
+  return lc.alpha * static_cast<double>(n) * static_cast<double>(n) *
+             static_cast<double>(n) / used +
          2.0 * static_cast<double>(n) * t_bcast;
 }
 

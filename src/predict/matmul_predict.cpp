@@ -5,7 +5,8 @@ namespace pcm::predict {
 namespace {
 
 double n2q2(long n, int q) {
-  return static_cast<double>(n) * n / (static_cast<double>(q) * q);
+  return static_cast<double>(n) * static_cast<double>(n) /
+         (static_cast<double>(q) * q);
 }
 
 }  // namespace
@@ -14,7 +15,8 @@ sim::Micros matmul_compute_term(const machines::LocalCompute& lc, long n,
                                 int q, bool cache_aware) {
   const double p = static_cast<double>(q) * q * q;
   if (!cache_aware) {
-    return lc.alpha * static_cast<double>(n) * n * n / p;
+    return lc.alpha * static_cast<double>(n) * static_cast<double>(n) *
+           static_cast<double>(n) / p;
   }
   return lc.matmul_time(n / q, n / q, n / q);
 }
@@ -37,7 +39,8 @@ sim::Micros matmul_bpram(const models::BpramParams& bpram,
   const double p = static_cast<double>(q) * q * q;
   return matmul_compute_term(lc, n, q, false) + lc.beta_sum * n2q2(n, q) +
          3.0 * q *
-             (bpram.sigma * word_bytes * static_cast<double>(n) * n / p +
+             (bpram.sigma * word_bytes * static_cast<double>(n) *
+                  static_cast<double>(n) / p +
               bpram.ell);
 }
 

@@ -378,10 +378,10 @@ TEST(Resilience, JournalRoundTripsEntriesExactly) {
       testing::TempDir() + "pcm-fault-test-journal-roundtrip";
   std::filesystem::remove_all(dir);
   const exec::JournalEntry entries[] = {
-      {0, true, 123456.789012345678, 1, "", ""},
-      {3, true, 1e-9, 2, "", ""},
-      {5, false, 0.0, 3, "audit", "packet-conservation violated at pe:3"},
-      {7, true, 0.1, 1, "", ""},  // 0.1 is inexact in binary — hexfloat test
+      {0, true, 123456.789012345678, 1, "", "", ""},
+      {3, true, 1e-9, 2, "", "", ""},
+      {5, false, 0.0, 3, "audit", "packet-conservation violated at pe:3", ""},
+      {7, true, 0.1, 1, "", "", ""},  // 0.1 is inexact in binary: hexfloat test
   };
   std::string path;
   {
@@ -410,8 +410,8 @@ TEST(Resilience, JournalIgnoresTornFinalLine) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.5, 1, "", ""});
-    j.append({1, true, 2.5, 1, "", ""});
+    j.append({0, true, 1.5, 1, "", "", ""});
+    j.append({1, true, 2.5, 1, "", "", ""});
   }
   {
     // Simulate a SIGKILL mid-write: a truncated record, no newline.
@@ -420,7 +420,7 @@ TEST(Resilience, JournalIgnoresTornFinalLine) {
   }
   exec::CheckpointJournal j(dir, "exp", "H", true);
   EXPECT_EQ(j.loaded().size(), 2u);
-  j.append({2, true, 3.5, 1, "", ""});
+  j.append({2, true, 3.5, 1, "", "", ""});
   exec::CheckpointJournal again(dir, "exp", "H", true);
   EXPECT_EQ(again.loaded().size(), 3u);
 }
@@ -433,7 +433,7 @@ TEST(Resilience, JournalRefusesAForeignHeader) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.0, 1, "", ""});
+    j.append({0, true, 1.0, 1, "", "", ""});
   }
   {
     // Tamper: same file, different sweep identity line.
@@ -491,9 +491,9 @@ TEST(Resilience, JournalSkipsAndReportsCorruptInteriorLines) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.5, 1, "", ""});
-    j.append({1, true, 2.5, 1, "", ""});
-    j.append({2, true, 3.5, 1, "", ""});
+    j.append({0, true, 1.5, 1, "", "", ""});
+    j.append({1, true, 2.5, 1, "", "", ""});
+    j.append({2, true, 3.5, 1, "", "", ""});
   }
   {
     // Corrupt the INTERIOR record for cell 1 in place: flip one payload
@@ -524,7 +524,7 @@ TEST(Resilience, JournalRefusesATruncatedHeader) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.0, 1, "", ""});
+    j.append({0, true, 1.0, 1, "", "", ""});
   }
   {
     // A header torn mid-write identifies no sweep: refusing beats guessing.
@@ -540,8 +540,8 @@ TEST(Resilience, JournalDuplicateCellLaterWins) {
   std::filesystem::remove_all(dir);
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
-    j.append({4, false, 0.0, 1, "exception", "first try"});
-    j.append({4, true, 7.25, 2, "", ""});
+    j.append({4, false, 0.0, 1, "exception", "first try", ""});
+    j.append({4, true, 7.25, 2, "", "", ""});
   }
   exec::CheckpointJournal j(dir, "exp", "H", true);
   ASSERT_EQ(j.loaded().size(), 1u);
@@ -571,7 +571,7 @@ TEST(Resilience, LegacyV1JournalStillResumesAndStaysV1) {
     ASSERT_EQ(j.loaded().size(), 2u);
     EXPECT_EQ(j.loaded().at(0).us, 1.5);
     EXPECT_EQ(j.loaded().at(1).kind, "audit");
-    j.append({2, true, 4.5, 1, "", ""});
+    j.append({2, true, 4.5, 1, "", "", ""});
   }
   // The append went out in the file's own (v1, checksum-free) format, so
   // the journal stays uniformly parseable...

@@ -288,7 +288,7 @@ TEST(PredictAsymptotics, BitonicIsLinearTimesLogSquaredOfP) {
   // of the bitonic merge network.
   const auto in_p = fit_curve(geometric(16, 10), [&](double p) {
     BspParams b = bsp;
-    b.P = static_cast<long>(p);
+    b.P = static_cast<int>(p);
     return bitonic_bsp(b, kMasPar, 64);
   });
   ASSERT_TRUE(in_p.ok);

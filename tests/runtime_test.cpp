@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "runtime/dist.hpp"
 #include "runtime/exchange.hpp"
 #include "runtime/grid.hpp"
@@ -11,15 +13,20 @@ namespace {
 
 // ---- BlockDist property sweep ----------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter, so DistCase
+// has no padding: `pad` zeroes the four bytes after `parts`, which as
+// uninitialised padding gave the cases a different name on every build.
 struct DistCase {
   long n;
   int parts;
+  int pad = 0;
 };
+static_assert(std::has_unique_object_representations_v<DistCase>);
 
 class BlockDistP : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(BlockDistP, PartitionIsExactAndOrdered) {
-  const auto [n, parts] = GetParam();
+  const auto [n, parts, pad] = GetParam();
   BlockDist d{n, parts};
   long total = 0;
   long prev_hi = 0;
@@ -35,7 +42,7 @@ TEST_P(BlockDistP, PartitionIsExactAndOrdered) {
 }
 
 TEST_P(BlockDistP, OwnerAndLocalAreConsistent) {
-  const auto [n, parts] = GetParam();
+  const auto [n, parts, pad] = GetParam();
   BlockDist d{n, parts};
   for (long g = 0; g < n; ++g) {
     const int o = d.owner_of(g);

@@ -119,25 +119,24 @@ IntervalEnv widen_env(const IntervalEnv& prev, const IntervalEnv& next) {
 
 const IntType* int_type(const std::string& name) {
   static const std::map<std::string, IntType> table = {
-      {"int", {-2147483648LL, 2147483647LL, true, "int", "long"}},
-      {"int32_t", {-2147483648LL, 2147483647LL, true, "int32_t",
-                   "std::int64_t"}},
-      {"unsigned", {0, 4294967295LL, true, "unsigned", "std::uint64_t"}},
-      {"uint32_t", {0, 4294967295LL, true, "uint32_t", "std::uint64_t"}},
-      {"short", {-32768, 32767, true, "short", "int"}},
-      {"int16_t", {-32768, 32767, true, "int16_t", "std::int32_t"}},
-      {"uint16_t", {0, 65535, true, "uint16_t", "std::uint32_t"}},
-      {"int8_t", {-128, 127, true, "int8_t", "std::int32_t"}},
-      {"uint8_t", {0, 255, true, "uint8_t", "std::uint32_t"}},
+      {"int", {-2147483648LL, 2147483647LL, true, "int"}},
+      {"int32_t", {-2147483648LL, 2147483647LL, true, "int32_t"}},
+      {"unsigned", {0, 4294967295LL, true, "unsigned"}},
+      {"uint32_t", {0, 4294967295LL, true, "uint32_t"}},
+      {"short", {-32768, 32767, true, "short"}},
+      {"int16_t", {-32768, 32767, true, "int16_t"}},
+      {"uint16_t", {0, 65535, true, "uint16_t"}},
+      {"int8_t", {-128, 127, true, "int8_t"}},
+      {"uint8_t", {0, 255, true, "uint8_t"}},
       // Wide types (LP64: long is 64-bit, matching the toolchain image this
       // linter and the simulators build in).
-      {"long", {-kClamp, kClamp, false, "long", ""}},
-      {"int64_t", {-kClamp, kClamp, false, "int64_t", ""}},
-      {"uint64_t", {0, kClamp, false, "uint64_t", ""}},
-      {"size_t", {0, kClamp, false, "size_t", ""}},
-      {"ptrdiff_t", {-kClamp, kClamp, false, "ptrdiff_t", ""}},
-      {"intptr_t", {-kClamp, kClamp, false, "intptr_t", ""}},
-      {"uintptr_t", {0, kClamp, false, "uintptr_t", ""}},
+      {"long", {-kClamp, kClamp, false, "long"}},
+      {"int64_t", {-kClamp, kClamp, false, "int64_t"}},
+      {"uint64_t", {0, kClamp, false, "uint64_t"}},
+      {"size_t", {0, kClamp, false, "size_t"}},
+      {"ptrdiff_t", {-kClamp, kClamp, false, "ptrdiff_t"}},
+      {"intptr_t", {-kClamp, kClamp, false, "intptr_t"}},
+      {"uintptr_t", {0, kClamp, false, "uintptr_t"}},
   };
   const auto it = table.find(name);
   return it == table.end() ? nullptr : &it->second;
@@ -193,9 +192,9 @@ std::size_t signature_start(const sema::TranslationUnit& tu,
 
 }  // namespace
 
-std::map<std::string, VarDecl> scan_var_types(const sema::TranslationUnit& tu,
-                                              const sema::FunctionDef& fn) {
-  std::map<std::string, VarDecl> out;
+std::map<std::string, const IntType*> scan_var_types(
+    const sema::TranslationUnit& tu, const sema::FunctionDef& fn) {
+  std::map<std::string, const IntType*> out;
   const auto& toks = tu.tokens;
   const std::size_t lo = signature_start(tu, fn);
   const std::size_t hi = std::min(fn.body_end, toks.size());
@@ -240,7 +239,7 @@ std::map<std::string, VarDecl> scan_var_types(const sema::TranslationUnit& tu,
         (toks[j + 1].text == "=" || toks[j + 1].text == ";" ||
          toks[j + 1].text == "," || toks[j + 1].text == ")" ||
          toks[j + 1].text == "{" || toks[j + 1].text == "[")) {
-      out[name] = VarDecl{ty, toks[j].line, i};
+      out[name] = ty;
       i = j;
     }
   }
@@ -295,16 +294,6 @@ class ExprEval {
 
   EvalResult run() {
     EvalResult r;
-    // Outermost static_cast<...>(...) spanning the whole range?
-    if (pos_ < end_ && toks_[pos_].kind == Tok::Ident &&
-        (toks_[pos_].text == "static_cast" ||
-         toks_[pos_].text == "narrow_cast")) {
-      r.explicit_cast = true;
-    }
-    if (end_ - pos_ == 1 && toks_[pos_].kind == Tok::Ident) {
-      r.single_ident = true;
-      r.ident = toks_[pos_].text;
-    }
     r.value = parse_expr();
     if (pos_ != end_) r.value = Interval::top();  // unparsed tail: no claim
     r.has_mul = has_mul_;
@@ -411,8 +400,8 @@ class ExprEval {
       return Interval::range(1, 16);
     }
     if (t.text == "static_cast" || t.text == "narrow_cast") {
-      // static_cast<T>(expr): evaluate the operand; T is the *caller's*
-      // business (explicit casts are surfaced via EvalResult).
+      // static_cast<T>(expr): evaluate the operand. A cast does not shrink
+      // the value, so cost-overflow still sees the operand's range.
       ++pos_;
       if (at_punct("<")) {
         int depth = 0;
@@ -554,14 +543,8 @@ IntervalEnv interval_transfer(const sema::TranslationUnit& tu, const Cfg& cfg,
       if (op.text == "=") {
         const std::size_t re = rhs_end(toks, k + 2, rhi);
         const EvalResult r = eval_expr(tu, k + 2, re, env, summaries);
-        const bool is_decl =
-            k >= rlo + 1 && toks[k - 1].kind == Tok::Ident &&
-            (int_type(toks[k - 1].text) != nullptr ||
-             toks[k - 1].text == "auto");
         if (sites != nullptr) {
-          sites->push_back({name, toks[k].line, r.value, r.has_mul,
-                            r.explicit_cast, r.single_ident, r.ident,
-                            is_decl});
+          sites->push_back({name, toks[k].line, r.value, r.has_mul});
         }
         if (r.value.known) {
           env[name] = r.value;
@@ -594,8 +577,7 @@ IntervalEnv interval_transfer(const sema::TranslationUnit& tu, const Cfg& cfg,
           res = idiv(cur, r.value);
         }
         if (sites != nullptr) {
-          sites->push_back({name, toks[k].line, res, mul, false, false, "",
-                            false});
+          sites->push_back({name, toks[k].line, res, mul});
         }
         if (res.known) {
           env[name] = res;

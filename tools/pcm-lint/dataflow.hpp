@@ -30,8 +30,9 @@
 //   fixpoint, see FlowSummaries).
 //
 //   Resource — an acquired/released state machine for throw-leak: fopen/
-//   fclose, open/close, watch/unwatch, lock/unlock, acquire/release pairs,
-//   tracked per receiver object or per assigned handle.
+//   fclose, open/close, pipe/close, fork/waitpid, watch/unwatch,
+//   lock/unlock, acquire/release pairs, tracked per receiver object or per
+//   assigned handle (or, for pipe(), per argument).
 
 namespace pcm::lint::flow {
 
@@ -82,21 +83,14 @@ struct IntType {
   long long max = 0;
   bool is_narrow = false;   ///< 32 bits or fewer
   std::string spelling;     ///< as written, e.g. "int", "uint32_t"
-  std::string widened;      ///< the --fix replacement, e.g. "long"
 };
 
 /// nullptr when `name` is not a known integer type spelling.
 [[nodiscard]] const IntType* int_type(const std::string& name);
 
-/// One declared variable (local or parameter) of integer type.
-struct VarDecl {
-  const IntType* type = nullptr;
-  int line = 0;
-  std::size_t type_tok = 0;  ///< token index of the type spelling
-};
-
-/// Scan a function (parameters + body) for integer-typed declarations.
-[[nodiscard]] std::map<std::string, VarDecl> scan_var_types(
+/// Scan a function (parameters + body) for integer-typed declarations:
+/// variable name -> its declared type.
+[[nodiscard]] std::map<std::string, const IntType*> scan_var_types(
     const sema::TranslationUnit& tu, const sema::FunctionDef& fn);
 
 // --- interprocedural summaries ----------------------------------------------
@@ -120,24 +114,17 @@ class FlowSummaries {
 
 // --- expression evaluation / transfer ---------------------------------------
 
-/// Everything the overflow rules need from one assignment/initialisation.
+/// Everything cost-overflow needs from one assignment/initialisation.
 struct AssignSite {
-  std::string name;       ///< destination variable (simple name)
+  std::string name;  ///< destination variable (simple name)
   int line = 0;
-  Interval rhs;           ///< 64-bit interval of the right-hand side
-  bool rhs_has_mul = false;       ///< a `*`/`<<` was evaluated in the RHS
-  bool rhs_explicit_cast = false; ///< outermost RHS is a static_cast<...>
-  bool rhs_is_single_ident = false;
-  std::string rhs_ident;  ///< when rhs_is_single_ident
-  bool is_decl = false;   ///< a declaration with initialiser (not reassign)
+  Interval rhs;      ///< 64-bit interval of the right-hand side
+  bool rhs_has_mul = false;  ///< a `*`/`<<` was evaluated in the RHS
 };
 
 struct EvalResult {
   Interval value;
   bool has_mul = false;
-  bool explicit_cast = false;
-  bool single_ident = false;
-  std::string ident;
 };
 
 /// Evaluate the token range [lo, hi) as an integer expression under `env`

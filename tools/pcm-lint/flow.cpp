@@ -25,12 +25,12 @@ std::string fmt(const Interval& v) {
   return "[" + std::to_string(v.lo) + ", " + std::to_string(v.hi) + "]";
 }
 
-// --- cost-overflow / narrowing-flow ------------------------------------------
+// --- cost-overflow ----------------------------------------------------------
 
-void check_overflow_rules(const sema::TranslationUnit& tu,
-                          const sema::FunctionDef& fn,
-                          const FlowSummaries& sums,
-                          std::vector<Diagnostic>* out) {
+void check_cost_overflow(const sema::TranslationUnit& tu,
+                         const sema::FunctionDef& fn,
+                         const FlowSummaries& sums,
+                         std::vector<Diagnostic>* out) {
   const Cfg cfg = build_cfg(tu, fn);
   const auto decls = scan_var_types(tu, fn);
   if (decls.empty()) return;
@@ -50,45 +50,25 @@ void check_overflow_rules(const sema::TranslationUnit& tu,
     (void)interval_transfer(tu, cfg, b, sol.in[b], &sums, &sites);
   }
 
-  std::set<std::pair<int, std::string>> seen;  // (line, rule) dedup
+  std::set<int> seen;  // one finding per line
   for (const AssignSite& site : sites) {
-    if (!site.rhs.known) continue;
+    if (!site.rhs.known || !site.rhs_has_mul) continue;
     const auto it = decls.find(site.name);
-    if (it == decls.end() || it->second.type == nullptr ||
-        !it->second.type->is_narrow) {
+    if (it == decls.end() || it->second == nullptr ||
+        !it->second->is_narrow) {
       continue;
     }
-    const IntType& ty = *it->second.type;
+    const IntType& ty = *it->second;
     if (site.rhs.lo >= ty.min && site.rhs.hi <= ty.max) continue;
-
-    const FixHint widen_fix{it->second.line, ty.spelling + " " + site.name,
-                            ty.widened + " " + site.name};
-    if (site.rhs_has_mul) {
-      if (!seen.insert({site.line, "cost-overflow"}).second) continue;
-      Diagnostic d{tu.rel_path, site.line, "cost-overflow",
-                   "'" + site.name + "' (" + ty.spelling +
-                       ") takes a product with range " + fmt(site.rhs) +
-                       " at p<=2^20, exceeding " + ty.spelling +
-                       "'s range [" + std::to_string(ty.min) + ", " +
-                       std::to_string(ty.max) + "] — an explicit cast does "
-                       "not help, the value itself is too big; widen to " +
-                       ty.widened};
-      d.fixes.push_back(widen_fix);
-      out->push_back(std::move(d));
-    } else if (site.rhs_is_single_ident && !site.rhs_explicit_cast) {
-      if (!seen.insert({site.line, "narrowing-flow"}).second) continue;
-      Diagnostic d{tu.rel_path, site.line, "narrowing-flow",
-                   "implicit narrowing: '" + site.name + "' (" + ty.spelling +
-                       ") = '" + site.rhs_ident + "' whose range " +
-                       fmt(site.rhs) + " does not fit [" +
-                       std::to_string(ty.min) + ", " +
-                       std::to_string(ty.max) +
-                       "]; widen the destination to " + ty.widened +
-                       " (or static_cast to declare the truncation "
-                       "intentional)"};
-      d.fixes.push_back(widen_fix);
-      out->push_back(std::move(d));
-    }
+    if (!seen.insert(site.line).second) continue;
+    out->push_back(
+        {tu.rel_path, site.line, "cost-overflow",
+         "'" + site.name + "' (" + ty.spelling +
+             ") takes a product with range " + fmt(site.rhs) +
+             " at p<=2^20, exceeding " + ty.spelling + "'s range [" +
+             std::to_string(ty.min) + ", " + std::to_string(ty.max) +
+             "] — an explicit cast does not help, the value itself is too "
+             "big; widen the destination to a 64-bit type"});
   }
 }
 
@@ -153,14 +133,12 @@ void check_hot_path_alloc(const sema::TranslationUnit& tu,
           : "'" + fn.qualified_name + "()', reachable from hot root '" +
                 root + "()'";
   std::set<std::pair<int, std::string>> seen;  // (line, what)
-  auto diag = [&](int line, const std::string& what, const std::string& hint,
-                  std::vector<FixHint> fixes) {
+  auto diag = [&](int line, const std::string& what, const std::string& hint) {
     if (!seen.insert({line, what}).second) return;
-    Diagnostic d{tu.rel_path, line, "hot-path-alloc",
-                 what + " in " + where +
-                     " allocates per superstep on the clean path; " + hint};
-    d.fixes = std::move(fixes);
-    out->push_back(std::move(d));
+    out->push_back({tu.rel_path, line, "hot-path-alloc",
+                    what + " in " + where +
+                        " allocates per superstep on the clean path; " +
+                        hint});
   };
 
   for (const BasicBlock& blk : cfg.blocks) {
@@ -173,21 +151,20 @@ void check_hot_path_alloc(const sema::TranslationUnit& tu,
 
         if (t == "new") {
           diag(toks[k].line, "'new'",
-               "carve scratch out of the superstep arena instead", {});
+               "carve scratch out of the superstep arena instead");
           continue;
         }
         if ((t == "make_unique" || t == "make_shared") && nx != nullptr &&
             nx->kind == Tok::Punct && (nx->text == "<" || nx->text == "(")) {
           diag(toks[k].line, "'" + t + "'",
-               "carve scratch out of the superstep arena instead", {});
+               "carve scratch out of the superstep arena instead");
           continue;
         }
         if (t == "to_string" && nx != nullptr && nx->kind == Tok::Punct &&
             nx->text == "(") {
           diag(toks[k].line, "'to_string'",
                "format diagnostics off the hot path (or gate behind "
-               "audit::enabled())",
-               {});
+               "audit::enabled())");
           continue;
         }
         if (t == "std" && k + 3 < rhi && toks[k + 1].kind == Tok::Punct &&
@@ -197,8 +174,7 @@ void check_hot_path_alloc(const sema::TranslationUnit& tu,
              (toks[k + 3].kind == Tok::Punct && toks[k + 3].text == "("))) {
           diag(toks[k].line, "std::string construction",
                "format diagnostics off the hot path (or gate behind "
-               "audit::enabled())",
-               {});
+               "audit::enabled())");
           k += 2;
           continue;
         }
@@ -212,10 +188,7 @@ void check_hot_path_alloc(const sema::TranslationUnit& tu,
           diag(toks[k].line,
                "'" + t + "." + toks[k + 2].text + "()' without a prior '" +
                    t + ".reserve()'",
-               "pre-size the container outside the loop",
-               {FixHint{toks[k].line, "",
-                        t + ".reserve(64);  // pcm-lint --fix: pre-size "
-                            "hot-path growth (tune the bound)"}});
+               "pre-size the container outside the loop");
           k += 2;
           continue;
         }
@@ -267,32 +240,13 @@ void check_throw_leak(const sema::TranslationUnit& tu,
       if (fact.state == Res::Released) continue;
       const std::string maybe =
           fact.state == Res::Maybe ? " on at least one path" : "";
-      Diagnostic d{tu.rel_path, blk.throw_line, "throw-leak",
-                   "'" + key + "' acquired via " + fact.how + " (line " +
-                       std::to_string(fact.acq_line) + ") is still held" +
-                       maybe + " when this throw leaves '" + fn.simple_name +
-                       "()'; release it before throwing or hold it in a "
-                       "RAII guard"};
-      // fact.how is "recv.callee()" or "callee()": derive the release call.
-      const auto dot = fact.how.find('.');
-      const auto paren = fact.how.find('(');
-      if (paren != std::string::npos) {
-        const std::string callee =
-            dot != std::string::npos
-                ? fact.how.substr(dot + 1, paren - dot - 1)
-                : fact.how.substr(0, paren);
-        const char* rel = release_of(callee);
-        if (rel != nullptr) {
-          const std::string call =
-              dot != std::string::npos
-                  ? key + "." + rel + "();"
-                  : std::string(rel) + "(" + key + ");";
-          d.fixes.push_back(
-              {blk.throw_line, "",
-               call + "  // pcm-lint --fix: release before throw"});
-        }
-      }
-      out->push_back(std::move(d));
+      out->push_back(
+          {tu.rel_path, blk.throw_line, "throw-leak",
+           "'" + key + "' acquired via " + fact.how + " (line " +
+               std::to_string(fact.acq_line) + ") is still held" + maybe +
+               " when this throw leaves '" + fn.simple_name +
+               "()'; release it before throwing or hold it in a RAII "
+               "guard"});
     }
   }
 }
@@ -354,7 +308,7 @@ std::vector<Diagnostic> run_flow_rules(
     const std::set<std::string> reserved = reserved_receivers(tu);
     for (std::size_t f = 0; f < tu.functions.size(); ++f) {
       const sema::FunctionDef& fn = tu.functions[f];
-      check_overflow_rules(tu, fn, sums, &out);
+      check_cost_overflow(tu, fn, sums, &out);
       const auto it = node_of.find({t, f});
       if (it != node_of.end() && hot[it->second] != 0) {
         check_hot_path_alloc(tu, fn, hot_root[it->second], reserved, &out);

@@ -3,14 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "cfg.hpp"
 #include "dataflow.hpp"
-#include "fix.hpp"
 #include "lexer.hpp"
 #include "lint.hpp"
 #include "sema.hpp"
@@ -18,7 +15,6 @@
 namespace pcm::lint {
 namespace {
 
-namespace fs = std::filesystem;
 using flow::Interval;
 
 std::vector<Diagnostic> of_rule(const std::vector<Diagnostic>& diags,
@@ -219,23 +215,7 @@ TEST(FlowRules, CostOverflowCarriesTheWidenFix) {
   const auto hits = of_rule(diags, "cost-overflow");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 2);
-  ASSERT_EQ(hits[0].fixes.size(), 1u);
-  EXPECT_EQ(hits[0].fixes[0].find, "int total");
-  EXPECT_EQ(hits[0].fixes[0].replace, "long total");
-}
-
-TEST(FlowRules, NarrowingSilencedByExplicitCast) {
-  const std::string body =
-      "int f(int procs) {\n"
-      "  const long wide = static_cast<long>(procs) * procs;\n"
-      "  int a = wide;\n"
-      "  int b = static_cast<int>(wide);\n"
-      "  return a + b;\n"
-      "}\n";
-  const auto diags = lint_file("src/net/x.cpp", body);
-  const auto hits = of_rule(diags, "narrowing-flow");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].line, 3);
+  EXPECT_NE(hits[0].message.find("widen the destination"), std::string::npos);
 }
 
 TEST(FlowRules, InterproceduralRangeCrossesTranslationUnits) {
@@ -247,14 +227,14 @@ TEST(FlowRules, InterproceduralRangeCrossesTranslationUnits) {
       {"src/net/range_sink.cpp",
        "int consume() {\n"
        "  const long b = packet_budget();\n"
-       "  int grabbed = b;\n"
+       "  int grabbed = b * 2;\n"
        "  return grabbed;\n"
        "}\n"}};
   const auto diags = lint_files(files);
-  EXPECT_TRUE(has(diags, "src/net/range_sink.cpp", 3, "narrowing-flow"));
+  EXPECT_TRUE(has(diags, "src/net/range_sink.cpp", 3, "cost-overflow"));
   // Linting the sink alone, the call is top and the rule must stay silent.
   const auto alone = lint_file("src/net/range_sink.cpp", files[1].contents);
-  EXPECT_TRUE(of_rule(alone, "narrowing-flow").empty());
+  EXPECT_TRUE(of_rule(alone, "cost-overflow").empty());
 }
 
 TEST(FlowRules, ThrowLeakFixReleasesBeforeThrow) {
@@ -269,14 +249,12 @@ TEST(FlowRules, ThrowLeakFixReleasesBeforeThrow) {
   const auto hits = of_rule(diags, "throw-leak");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 4);
-  ASSERT_EQ(hits[0].fixes.size(), 1u);
-  EXPECT_TRUE(hits[0].fixes[0].find.empty());  // insert-above
-  EXPECT_NE(hits[0].fixes[0].replace.find("wd.unwatch()"), std::string::npos);
+  EXPECT_NE(hits[0].message.find("release it before throwing"),
+            std::string::npos);
 }
 
 TEST(FlowRules, PipeHeldAtThrowFiresWithACloseFix) {
-  // pipe() acquires through its argument, not the return value; the fix
-  // closes the descriptor pair before the throw.
+  // pipe() acquires through its argument, not the return value.
   const auto diags = lint_file("src/shard/x.cpp",
                                "void f(int* fds) {\n"
                                "  pipe(fds);\n"
@@ -288,8 +266,8 @@ TEST(FlowRules, PipeHeldAtThrowFiresWithACloseFix) {
   const auto hits = of_rule(diags, "throw-leak");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 4);
-  ASSERT_EQ(hits[0].fixes.size(), 1u);
-  EXPECT_NE(hits[0].fixes[0].replace.find("close(fds);"), std::string::npos);
+  EXPECT_NE(hits[0].message.find("'fds' acquired via pipe()"),
+            std::string::npos);
 }
 
 TEST(FlowRules, ForkedChildUnreapedAtThrowFires) {
@@ -304,9 +282,6 @@ TEST(FlowRules, ForkedChildUnreapedAtThrowFires) {
   const auto hits = of_rule(diags, "throw-leak");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 4);
-  ASSERT_EQ(hits[0].fixes.size(), 1u);
-  EXPECT_NE(hits[0].fixes[0].replace.find("waitpid(pid);"),
-            std::string::npos);
 }
 
 TEST(FlowRules, ReapedForkAndClosedPipeStaySilent) {
@@ -338,68 +313,8 @@ TEST(FlowRules, HotPathGrowthCarriesAReserveFix) {
   const auto hits = of_rule(diags, "hot-path-alloc");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].line, 4);
-  ASSERT_EQ(hits[0].fixes.size(), 1u);
-  EXPECT_TRUE(hits[0].fixes[0].find.empty());
-  EXPECT_NE(hits[0].fixes[0].replace.find("staged_.reserve("),
+  EXPECT_NE(hits[0].message.find("without a prior 'staged_.reserve()'"),
             std::string::npos);
-}
-
-// --- the fix engine ---------------------------------------------------------
-
-TEST(FixEngine, AppliesWidenAndIsIdempotent) {
-  const fs::path root = fs::temp_directory_path() / "pcm_lint_fix_test";
-  fs::remove_all(root);
-  fs::create_directories(root / "src" / "net");
-  const fs::path file = root / "src" / "net" / "acc.cpp";
-  {
-    std::ofstream out(file);
-    out << "long f(int procs) {\n"
-           "  int total = procs * procs;\n"
-           "  return total;\n"
-           "}\n";
-  }
-  auto diags = lint_tree(root, {"src"});
-  ASSERT_EQ(of_rule(diags, "cost-overflow").size(), 1u);
-
-  const fix::FixStats first = fix::apply_fixes(root, diags);
-  EXPECT_EQ(first.edits, 1);
-  EXPECT_EQ(first.files, 1);
-  std::ifstream in(file);
-  std::string fixed((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  EXPECT_NE(fixed.find("long total = procs * procs;"), std::string::npos);
-
-  // A fixed site no longer fires, so the second pass has nothing to do.
-  diags = lint_tree(root, {"src"});
-  EXPECT_TRUE(of_rule(diags, "cost-overflow").empty());
-  const fix::FixStats second = fix::apply_fixes(root, diags);
-  EXPECT_EQ(second.edits, 0);
-  fs::remove_all(root);
-}
-
-TEST(FixEngine, InsertCopiesIndentationAndStaleFindIsSkipped) {
-  const fs::path root = fs::temp_directory_path() / "pcm_lint_fix_test2";
-  fs::remove_all(root);
-  fs::create_directories(root / "src");
-  const fs::path file = root / "src" / "a.cpp";
-  {
-    std::ofstream out(file);
-    out << "void f() {\n"
-           "    g();\n"
-           "}\n";
-  }
-  Diagnostic ins{"src/a.cpp", 2, "x", "m"};
-  ins.fixes.push_back(FixHint{2, "", "pre();"});
-  Diagnostic stale{"src/a.cpp", 1, "x", "m"};
-  stale.fixes.push_back(FixHint{1, "not_present()", "replacement()"});
-  const fix::FixStats stats = fix::apply_fixes(root, {ins, stale});
-  EXPECT_EQ(stats.edits, 1);
-  EXPECT_EQ(stats.skipped, 1);
-  std::ifstream in(file);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("    pre();\n    g();"), std::string::npos);
-  fs::remove_all(root);
 }
 
 // --- lexer gap coverage -----------------------------------------------------
@@ -441,11 +356,6 @@ TEST(FlowFixtureTree, V3RulesFireAndSuppress) {
   EXPECT_TRUE(has(diags, "src/net/bad_cost_overflow.cpp", 9, "cost-overflow"));
   EXPECT_TRUE(has(diags, "src/net/bad_cost_overflow.cpp", 10, "cost-overflow"));
   EXPECT_EQ(of_rule(diags, "cost-overflow").size(), 2u);
-
-  // narrowing-flow: one firing assignment; the suppressed, the cast and the
-  // fitting ones pass.
-  EXPECT_TRUE(has(diags, "src/net/bad_narrowing.cpp", 10, "narrowing-flow"));
-  EXPECT_EQ(of_rule(diags, "narrowing-flow").size(), 1u);
 
   // hot-path-alloc: growth in the root and a `new` one call below it; the
   // audit-gated to_string, the reserved receiver, the suppressed charge and

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <regex>
@@ -528,12 +526,11 @@ std::string strip_comments_and_strings(const std::string& src) {
 
 namespace {
 
-/// Everything the multi-pass pipeline learns about one file: the raw and
-/// stripped line views (line rules), the parsed TU (flow rules + call
-/// graph) and this file's suppressions (applied to cross-TU findings too).
+/// Everything the multi-pass pipeline keeps about one file: the parsed TU
+/// (flow rules + call graph) and this file's suppressions (applied to
+/// cross-TU findings too).
 struct FileAnalysis {
   std::string rel_path;
-  std::vector<std::string> stripped_lines;
   Suppressions sup;
   sema::TranslationUnit tu;
   std::vector<Diagnostic> diags;  ///< per-file findings, unfiltered
@@ -546,8 +543,7 @@ FileAnalysis analyze_file(const std::string& rel_path,
   const auto raw_lines = split_lines(contents);
   fa.sup = scan_suppressions(raw_lines);
   const std::string stripped = strip_comments_and_strings(contents);
-  fa.stripped_lines = split_lines(stripped);
-  const auto& lines = fa.stripped_lines;
+  const auto lines = split_lines(stripped);
 
   const bool in_src = starts_with(rel_path, "src/");
   const bool in_exec = starts_with(rel_path, "src/exec/");
@@ -580,48 +576,7 @@ FileAnalysis analyze_file(const std::string& rel_path,
   if (in_src) sema::check_arena_escape(fa.tu, found);
   // check_dense_scan scopes itself to src/net + src/machines hot functions.
   sema::check_dense_scan(fa.tu, found);
-  if (!in_tools) sema::check_deprecated_api(fa.tu, found);
   return fa;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  h ^= 0xff;  // field separator so adjacent fields cannot alias
-  h *= 1099511628211ull;
-  return h;
-}
-
-/// Content-addressed identity: file + rule + the stripped source line with
-/// all whitespace removed + occurrence index (disambiguating identical
-/// lines). Deliberately excludes the line *number*, so findings survive
-/// unrelated code motion and baselines don't churn.
-void assign_fingerprints(const std::map<std::string, const FileAnalysis*>& by_path,
-                         std::vector<Diagnostic>* diags) {
-  std::map<std::string, int> occurrence;
-  for (Diagnostic& d : *diags) {
-    std::string content;
-    const auto it = by_path.find(d.file);
-    if (it != by_path.end() && d.line >= 1 &&
-        d.line <= static_cast<int>(it->second->stripped_lines.size())) {
-      for (const char c : it->second->stripped_lines[d.line - 1]) {
-        if (std::isspace(static_cast<unsigned char>(c)) == 0) content += c;
-      }
-    }
-    const std::string key = d.file + '\0' + d.rule + '\0' + content;
-    const int index = occurrence[key]++;
-    std::uint64_t h = 1469598103934665603ull;
-    h = fnv1a(h, d.file);
-    h = fnv1a(h, d.rule);
-    h = fnv1a(h, content);
-    h = fnv1a(h, std::to_string(index));
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    d.fingerprint = buf;
-  }
 }
 
 }  // namespace
@@ -663,7 +618,6 @@ std::vector<Diagnostic> lint_files(const std::vector<FileContent>& files) {
                      if (a.line != b.line) return a.line < b.line;
                      return a.rule < b.rule;
                    });
-  assign_fingerprints(by_path, &all);
   return all;
 }
 

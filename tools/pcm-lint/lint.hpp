@@ -4,15 +4,18 @@
 #include <string>
 #include <vector>
 
-// pcm-lint v2: a multi-pass semantic determinism linter for the simulator
+// pcm-lint: a multi-pass semantic determinism linter for the simulator
 // tree.
 //
 // The front end strips comments/strings (preserving line structure and
 // handling backslash continuations), lexes each file into a token stream
 // (lexer.hpp), extracts function definitions and call sequences per TU
 // (sema.hpp), and links a repo-wide call graph across TUs (callgraph.hpp).
-// Line-local rules run on the stripped lines; flow-aware rules run on the
-// parsed TUs and the call graph.
+// Line-local rules run on the stripped lines; the sema rules
+// (span-invalidation, arena-escape, dense-scan) run on each parsed TU;
+// determinism-taint runs on the call graph; and the CFG/dataflow rules
+// (cost-overflow, hot-path-alloc, throw-leak; flow.hpp) run on per-function
+// control-flow graphs.
 //
 // The reproduction's whole value rests on runs being bit-identical across
 // --jobs values and machines, so the linter rejects the constructs that have
@@ -32,6 +35,9 @@
 //   assert-in-header     assert( in a header under src/ — headers are
 //                        compiled into Release bench binaries where NDEBUG
 //                        strips the check; use PCM_CHECK instead.
+//   metric-in-header     obs::register_metric( in a header under src/
+//                        (outside src/obs/) — registration would run once
+//                        per including TU.
 //   bare-catch           a catch (...) handler under src/ (outside
 //                        src/exec/) whose body neither rethrows nor calls
 //                        std::current_exception — swallowing an exception
@@ -39,21 +45,25 @@
 //                        engine is exempt: its catch sites exist to record
 //                        failures in the sweep's failure ledger.
 //   include-layer        a quoted #include under src/ pointing *up* the
-//                        subsystem layer order
-//                          sim -> report -> audit/net/race/core/fault ->
+//                        subsystem layer order (layer_of() in lint.cpp)
+//                          sim -> report -> audit/net/race/obs/core/fault ->
 //                          machines -> models/runtime ->
-//                          algos/predict/calibrate -> vendor/exec
+//                          algos/predict/calibrate -> vendor/exec ->
+//                          shard/learn
 //                        (report is a leaf presentation layer consumed by
 //                        core, and exec sits on top of the machine layer —
 //                        the map encodes the tree as actually built, not the
 //                        conceptual data-flow order). Same-layer includes
 //                        are allowed: audit and net are mutually aware by
 //                        design. Directories the map does not know are
-//                        skipped, so a new subsystem must be added here
+//                        skipped, so a new subsystem must be added there
 //                        before the rule constrains it.
 //
-// Suppressions (placed in a comment on the offending line / anywhere in the
-// file):
+// Narrowing conversions are not a lint rule: the build compiles with
+// -Wconversion -Werror=conversion, which rejects every implicit one.
+//
+// An inline suppression is the one way to accept a finding (placed in a
+// comment on the offending line / anywhere in the file):
 //   pcm-lint:allow(<rule>)        silence <rule> on this line
 //   pcm-lint:allow-file(<rule>)   silence <rule> for the whole file
 //
@@ -62,30 +72,11 @@
 
 namespace pcm::lint {
 
-/// One textual rewrite a rule proposes for its finding. `line` is 1-based in
-/// the diagnosed file. With a non-empty `find`, the first occurrence of
-/// `find` on that line is replaced by `replace`; with an empty `find`,
-/// `replace` is inserted as a new line above `line` (copying its
-/// indentation). Fixes are advisory: --fix skips any hint whose `find` no
-/// longer matches, and a fixed site no longer fires its rule, which is what
-/// makes a second --fix run a guaranteed no-op.
-struct FixHint {
-  int line = 0;
-  std::string find;
-  std::string replace;
-};
-
 struct Diagnostic {
   std::string file;  ///< Path as given (repo-relative when walking a tree).
   int line = 0;      ///< 1-based.
   std::string rule;
   std::string message;
-  /// Content-addressed identity: FNV-1a over (file, rule, the stripped
-  /// source line with whitespace collapsed, occurrence index). Stable across
-  /// unrelated code motion, so baselines don't churn on line-number shifts.
-  std::string fingerprint;
-  /// Machine-applicable rewrites (flow rules only); empty for most rules.
-  std::vector<FixHint> fixes;
 };
 
 /// One file handed to the linter: repo-relative forward-slash path + bytes.
@@ -106,8 +97,8 @@ struct FileContent {
                                                 const std::string& contents);
 
 /// Lint a set of files as one program: per-file rules plus the cross-TU
-/// call-graph pass. Diagnostics are suppression-filtered, fingerprinted and
-/// ordered by (file, line).
+/// call-graph pass. Diagnostics are suppression-filtered and ordered by
+/// (file, line).
 [[nodiscard]] std::vector<Diagnostic> lint_files(
     const std::vector<FileContent>& files);
 

@@ -1,72 +1,29 @@
 // pcm-lint CLI. Usage:
 //
-//   pcm-lint [--root=DIR] [--sarif=FILE] [--baseline=FILE]
-//            [--write-baseline=FILE] [--fix] [subdir...]
+//   pcm-lint [--root=DIR] [subdir...]
 //
 // Lints *.hpp / *.cpp under the given subdirs (default: src bench tests)
 // relative to --root (default: the current directory). Prints one
 // `file:line: [rule] message` per finding and exits 1 when anything is
-// flagged, so it slots straight into CTest / CI.
-//
-//   --sarif=FILE           also write the findings as a SARIF 2.1.0 log
-//                          ("-" for stdout instead of the text report).
-//   --baseline=FILE        read accepted fingerprints; known findings are
-//                          still printed (marked "baseline") but only *new*
-//                          findings fail the run.
-//   --write-baseline=FILE  write the current findings as the new baseline
-//                          and exit 0 (the accept-current-state workflow).
-//   --fix                  apply the machine-applicable rewrites the flow
-//                          rules propose (widen a narrow accumulator, insert
-//                          a reserve(), release before a throw) and exit 0.
-//                          Idempotent: a fixed site no longer fires its
-//                          rule, so a second --fix run writes nothing.
+// flagged, so it slots straight into CTest / CI. A finding is accepted only
+// by an inline `pcm-lint:allow(rule)` suppression (lint.hpp).
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <optional>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "fix.hpp"
 #include "lint.hpp"
-#include "sarif.hpp"
-
-namespace {
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::filesystem::path root = std::filesystem::current_path();
   std::vector<std::string> subdirs;
-  std::string sarif_path;
-  std::string baseline_path;
-  std::string write_baseline_path;
-  bool fix = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--root=", 0) == 0) {
       root = arg.substr(7);
-    } else if (arg.rfind("--sarif=", 0) == 0) {
-      sarif_path = arg.substr(8);
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = arg.substr(17);
-    } else if (arg == "--fix") {
-      fix = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: pcm-lint [--root=DIR] [--sarif=FILE] "
-                   "[--baseline=FILE] [--write-baseline=FILE] [--fix] "
-                   "[subdir...]\n"
+      std::cout << "usage: pcm-lint [--root=DIR] [subdir...]\n"
                    "lints *.hpp/*.cpp for determinism hazards; default "
                    "subdirs: src bench tests\n";
       return 0;
@@ -84,69 +41,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::optional<std::set<std::string>> baseline;
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "pcm-lint: cannot read baseline '" << baseline_path
-                << "'\n";
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    baseline = pcm::lint::parse_baseline(buf.str());
-  }
-
   const auto diags = pcm::lint::lint_tree(root, subdirs);
-
-  if (fix) {
-    const auto stats = pcm::lint::fix::apply_fixes(root, diags);
-    std::cout << "pcm-lint: applied " << stats.edits << " fix"
-              << (stats.edits == 1 ? "" : "es") << " in " << stats.files
-              << " file" << (stats.files == 1 ? "" : "s");
-    if (stats.skipped > 0) {
-      std::cout << " (" << stats.skipped << " hint"
-                << (stats.skipped == 1 ? "" : "s")
-                << " skipped: code moved since analysis)";
-    }
-    std::cout << "\n";
-    return 0;
-  }
-
-  if (!write_baseline_path.empty()) {
-    if (!write_file(write_baseline_path, pcm::lint::format_baseline(diags))) {
-      std::cerr << "pcm-lint: cannot write baseline '" << write_baseline_path
-                << "'\n";
-      return 2;
-    }
-    std::cout << "pcm-lint: wrote " << diags.size() << " finding"
-              << (diags.size() == 1 ? "" : "s") << " to baseline "
-              << write_baseline_path << "\n";
-    return 0;
-  }
-
-  if (!sarif_path.empty()) {
-    const std::string sarif = pcm::lint::to_sarif(
-        diags, baseline ? &*baseline : nullptr);
-    if (sarif_path == "-") {
-      std::cout << sarif;
-    } else if (!write_file(sarif_path, sarif)) {
-      std::cerr << "pcm-lint: cannot write SARIF '" << sarif_path << "'\n";
-      return 2;
-    }
-  }
-
-  std::size_t fresh = 0;
   for (const auto& d : diags) {
-    const bool known = baseline && baseline->count(d.fingerprint) > 0;
-    if (!known) ++fresh;
-    if (sarif_path == "-") continue;  // the SARIF log *is* the report
     std::cout << d.file << ":" << d.line << ": [" << d.rule << "] "
-              << d.message << (known ? " (baseline)" : "") << "\n";
+              << d.message << "\n";
   }
-  if (fresh > 0) {
-    std::cout << "pcm-lint: " << fresh << (baseline ? " new" : "")
-              << " finding" << (fresh == 1 ? "" : "s") << "\n";
+  if (!diags.empty()) {
+    std::cout << "pcm-lint: " << diags.size() << " finding"
+              << (diags.size() == 1 ? "" : "s") << "\n";
     return 1;
   }
   return 0;

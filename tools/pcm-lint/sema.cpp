@@ -1,7 +1,6 @@
 #include "sema.hpp"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <set>
 
@@ -522,39 +521,6 @@ void check_dense_scan(const TranslationUnit& tu, std::vector<Diagnostic>* out) {
                "never O(P); iterate pattern.senders()/receivers() (or "
                "suppress for a known-dense path such as a SIMD lock-step "
                "charge)"});
-    }
-  }
-}
-
-// --- deprecated-api ----------------------------------------------------------
-
-void check_deprecated_api(const TranslationUnit& tu,
-                          std::vector<Diagnostic>* out) {
-  struct Entry {
-    const char* name;
-    const char* instead;
-  };
-  static constexpr std::array<Entry, 3> denylist = {{
-      {"flatten", "iterate messages() — same order, no copy"},
-      {"send_counts", "use send_count(p) over senders()"},
-      {"receive_counts", "use receive_count(p) over receivers()"},
-  }};
-  const auto& toks = tu.tokens;
-  for (std::size_t i = 2; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Tok::Ident) continue;
-    if (!(toks[i + 1].kind == Tok::Punct && toks[i + 1].text == "(")) continue;
-    if (!(toks[i - 1].kind == Tok::Punct &&
-          (toks[i - 1].text == "." || toks[i - 1].text == "->"))) {
-      continue;
-    }
-    for (const Entry& e : denylist) {
-      if (toks[i].text == e.name) {
-        out->push_back({tu.rel_path, toks[i].line, "deprecated-api",
-                        "call to removed accessor '" + toks[i].text +
-                            "()' — " + e.instead +
-                            " (deleted after the PR 6 deprecation cycle)"});
-        break;
-      }
     }
   }
 }

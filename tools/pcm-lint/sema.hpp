@@ -83,10 +83,4 @@ void check_arena_escape(const TranslationUnit& tu,
 /// O(active-messages) superstep contract.
 void check_dense_scan(const TranslationUnit& tu, std::vector<Diagnostic>* out);
 
-/// deprecated-api: member calls to the removal denylist (`flatten`,
-/// `send_counts`, `receive_counts`) — deleted CommPattern copying accessors
-/// whose replacements are the span views.
-void check_deprecated_api(const TranslationUnit& tu,
-                          std::vector<Diagnostic>* out);
-
 }  // namespace pcm::lint::sema

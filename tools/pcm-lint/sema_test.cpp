@@ -1,5 +1,5 @@
-// Unit tests for the pcm-lint v2 front end: lexer, per-TU sema parse,
-// cross-TU call graph, the flow-aware rules, and the SARIF/baseline layer.
+// Unit tests for the pcm-lint front end: lexer, per-TU sema parse,
+// cross-TU call graph and the sema rules.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "callgraph.hpp"
 #include "lexer.hpp"
 #include "lint.hpp"
-#include "sarif.hpp"
 #include "sema.hpp"
 
 namespace {
@@ -277,18 +276,6 @@ TEST(DenseScan, OnlyHotFunctionsInRouterMachineTrees) {
   EXPECT_TRUE(of_rule(lint_file("src/algos/r.cpp", hot), "dense-scan").empty());
 }
 
-TEST(DeprecatedApi, MemberCallsOnly) {
-  const std::string src =
-      "long f(const CommPattern& p) {\n"
-      "  auto v = p.flatten();\n"
-      "  long flatten = 0;\n"
-      "  return flatten + static_cast<long>(v.size());\n"
-      "}\n";
-  const auto diags = lint_file("tests/x.cpp", src);
-  ASSERT_EQ(of_rule(diags, "deprecated-api").size(), 1u);
-  EXPECT_TRUE(has(diags, "tests/x.cpp", 2, "deprecated-api"));
-}
-
 // --- cross-TU taint through lint_files ---------------------------------------
 
 TEST(LintFiles, TaintCrossesTranslationUnits) {
@@ -303,64 +290,6 @@ TEST(LintFiles, TaintCrossesTranslationUnits) {
   // The suppressed edge and the suppressed seed both stay silent.
   EXPECT_EQ(of_rule(diags, "determinism-taint").size(), 1u);
   EXPECT_TRUE(of_rule(diags, "wallclock").empty());
-}
-
-// --- fingerprints, baseline, SARIF -------------------------------------------
-
-TEST(Fingerprints, StableAcrossLineMotionDistinctForDuplicates) {
-  const std::string a = "int x = rand();\nint y = rand();\n";
-  const std::string b = "\n\nint x = rand();\nint y = rand();\n";
-  const auto da = lint_file("src/net/x.cpp", a);
-  const auto db = lint_file("src/net/x.cpp", b);
-  ASSERT_EQ(da.size(), 2u);
-  ASSERT_EQ(db.size(), 2u);
-  // Same content, shifted two lines: identical fingerprints.
-  EXPECT_EQ(da[0].fingerprint, db[0].fingerprint);
-  EXPECT_EQ(da[1].fingerprint, db[1].fingerprint);
-  // Distinct lines (and occurrence indices) stay distinct.
-  EXPECT_NE(da[0].fingerprint, da[1].fingerprint);
-  EXPECT_FALSE(da[0].fingerprint.empty());
-}
-
-TEST(Baseline, RoundTripsAndGatesNewFindings) {
-  const auto diags = lint_file("src/net/x.cpp", "int x = rand();\n");
-  ASSERT_EQ(diags.size(), 1u);
-  const std::string text = pcm::lint::format_baseline(diags);
-  const auto fps = pcm::lint::parse_baseline(text);
-  ASSERT_EQ(fps.size(), 1u);
-  EXPECT_EQ(*fps.begin(), diags[0].fingerprint);
-  // Comments and annotations after the fingerprint are ignored.
-  const auto fps2 = pcm::lint::parse_baseline(
-      "# header\n\n  " + diags[0].fingerprint + "  src/net/x.cpp:1 wallclock\n");
-  EXPECT_EQ(fps2, fps);
-}
-
-TEST(Sarif, ShapeRulesAndBaselineStates) {
-  const auto diags = lint_file("src/net/x.cpp",
-                               "int x = rand();\n"
-                               "float t = 0;\n");
-  ASSERT_EQ(diags.size(), 2u);
-  std::set<std::string> baseline = {diags[0].fingerprint};
-  const std::string sarif = pcm::lint::to_sarif(diags, &baseline);
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"wallclock\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"float-time\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"pcmLint/v1\": \"" + diags[0].fingerprint + "\""),
-            std::string::npos);
-  EXPECT_NE(sarif.find("\"baselineState\": \"unchanged\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"baselineState\": \"new\""), std::string::npos);
-  // Every rule that can fire is declared in the driver's rule table.
-  for (const char* id :
-       {"determinism-taint", "span-invalidation", "arena-escape", "dense-scan",
-        "deprecated-api", "include-layer", "unordered-iteration"}) {
-    EXPECT_NE(sarif.find("{\"id\": \"" + std::string(id) + "\""),
-              std::string::npos)
-        << id;
-  }
-  // Without a baseline there is no baselineState at all.
-  const std::string plain = pcm::lint::to_sarif(diags, nullptr);
-  EXPECT_EQ(plain.find("baselineState"), std::string::npos);
 }
 
 // --- the seeded fixture tree (flow rules) ------------------------------------
@@ -401,12 +330,6 @@ TEST(SemaFixtureTree, FlowRuleFixturesFireAndSuppress) {
     EXPECT_NE(d.message.find("host_entropy -> time()"), std::string::npos)
         << d.message;
   }
-
-  // deprecated-api: the two firing call sites; the suppressed one and the
-  // same-named local in use_views() stay silent.
-  EXPECT_TRUE(has(diags, "src/net/bad_deprecated.cpp", 9, "deprecated-api"));
-  EXPECT_TRUE(has(diags, "src/net/bad_deprecated.cpp", 10, "deprecated-api"));
-  EXPECT_EQ(of_rule(diags, "deprecated-api").size(), 2u);
 
   // line continuations: the spliced comment hides its rand(); the spliced
   // #include still hits include-layer on the directive line; the real

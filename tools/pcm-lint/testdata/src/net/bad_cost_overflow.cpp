@@ -1,6 +1,6 @@
 // cost-overflow fixtures: packet/byte/cost accumulators taking products of
-// procs-seeded ranges (p <= 2^20) into 32-bit destinations. The widen fix
-// is the machine rewrite --fix applies.
+// procs-seeded ranges (p <= 2^20) into 32-bit destinations. Widening the
+// destination to a 64-bit type is the remedy.
 
 namespace pcm::net {
 

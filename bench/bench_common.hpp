@@ -30,17 +30,16 @@
 // when PCM_RESULTS_DIR is set — a CSV dump.
 //
 // Flags: --quick (smaller sweeps), --trials=K, --jobs=N, --seed=S, --audit
-// (run with the invariant auditor on; requires -DPCM_AUDIT=ON), --race
-// (run with the superstep race detector on; requires -DPCM_RACE=ON),
-// --fault=SPEC (deterministic fault injection, e.g. drop:rate=0.05:seed=7),
-// --retries=K / --cell-timeout-ms=T (per-cell resilience policy),
-// --checkpoint=DIR / --resume (crash-safe journal + resumption), --metrics
-// (superstep-resolved metric summary), --trace-out=FILE (Chrome
-// trace-event JSON of one representative cell; needs -DPCM_OBS=ON, like
-// --metrics) and --shard-workers=N (run the sweep across N supervised
-// worker *processes* via pcm::shard — crash-tolerant, byte-identical
-// output; the PCM_PROCESS_CHAOS environment variable injects a seeded
-// worker kill/stall schedule for testing the supervisor). Sweeps run
+// (run with the invariant auditor on), --race (run with the superstep race
+// detector on), --fault=SPEC (deterministic fault injection, e.g.
+// drop:rate=0.05:seed=7), --retries=K / --cell-timeout-ms=T (per-cell
+// resilience policy), --checkpoint=DIR / --resume (crash-safe journal +
+// resumption), --metrics (superstep-resolved metric summary),
+// --trace-out=FILE (Chrome trace-event JSON of one representative cell)
+// and --shard-workers=N (run the sweep across N supervised worker
+// *processes* via pcm::shard — crash-tolerant, byte-identical output; the
+// PCM_PROCESS_CHAOS environment variable injects a seeded worker kill/stall
+// schedule for testing the supervisor). Sweeps run
 // through the exec engine (exec/sweep.hpp): one fresh machine per (x, trial)
 // cell, seeded per cell, so output is bit-identical at any --jobs value —
 // and at any --shard-workers value, under any schedule of worker deaths.
@@ -63,14 +62,11 @@ struct Env {
   int jobs = 1;           ///< Sweep workers; 0 = one per hardware thread.
   std::uint64_t seed = 0; ///< 0 = use the bench's default seed.
   int procs = 0;          ///< 0 = the platform's Table 1 machine size.
-  bool audit = false;     ///< Run with the invariant auditor enabled.
-  bool race = false;      ///< Run with the superstep race detector enabled.
   std::string fault;        ///< The --fault spec as given (empty = none).
   int retries = 0;          ///< Extra attempts per failing cell.
   double cell_timeout_ms = 0.0;  ///< Watchdog budget per cell; 0 = off.
   std::string checkpoint;   ///< Journal directory (empty = no journal).
   bool resume = false;      ///< Resume from the checkpoint journal.
-  bool metrics = false;     ///< Collect and print the metrics summary.
   std::string trace_out;    ///< Chrome trace-event JSON path (empty = none).
   int shard_workers = 0;    ///< Worker processes; <= 1 = in-process sweep.
 };
@@ -92,10 +88,10 @@ struct Env {
             << "               x-axis is per-processor\n"
             << "  --audit      check runtime invariants (packet conservation,\n"
             << "               occupancy leaks, clock monotonicity) as the\n"
-            << "               sweep runs; needs a -DPCM_AUDIT=ON build\n"
+            << "               sweep runs\n"
             << "  --race       check BSP superstep ordering (write-write,\n"
             << "               read-before-sync, stale mailbox reads, bypass\n"
-            << "               writes) as the sweep runs; needs -DPCM_RACE=ON\n"
+            << "               writes) as the sweep runs\n"
             << "  --fault=SPEC inject deterministic faults; SPEC is\n"
             << "               kind[:rate=R][:severity=X][:seed=S][:from=A][:to=B]\n"
             << "               with kind one of drop, dup, dead-channel,\n"
@@ -107,7 +103,7 @@ struct Env {
             << "  --resume     skip cells already in the checkpoint journal\n"
             << "  --metrics    collect superstep-resolved metrics (packets,\n"
             << "               waves, conflicts, queue peaks, barrier skew)\n"
-            << "               and print the sweep summary; needs -DPCM_OBS=ON\n"
+            << "               and print the sweep summary\n"
             << "  --trace-out=FILE     write a Chrome trace-event JSON of one\n"
             << "               representative cell (largest x, trial 0);\n"
             << "               open in Perfetto or chrome://tracing\n"
@@ -199,21 +195,11 @@ inline Env parse_env(int argc, char** argv) {
     } else if (arg == "--resume") {
       env.resume = true;
     } else if (arg == "--metrics") {
-      env.metrics = true;
-      if (!obs::set_enabled(true)) {
-        usage(argv[0],
-              "--metrics requires a build with -DPCM_OBS=ON (the "
-              "observability plane was compiled out)");
-      }
+      obs::set_enabled(true);
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       env.trace_out = arg.substr(12);
       if (env.trace_out.empty()) {
         usage(argv[0], "--trace-out expects a file path");
-      }
-      if (!obs::compiled_in()) {
-        usage(argv[0],
-              "--trace-out requires a build with -DPCM_OBS=ON (the "
-              "observability plane was compiled out)");
       }
     } else if (arg.rfind("--shard-workers=", 0) == 0) {
       if (!detail::parse_number(arg.substr(16), &env.shard_workers) ||
@@ -223,19 +209,9 @@ inline Env parse_env(int argc, char** argv) {
                   "'");
       }
     } else if (arg == "--audit") {
-      env.audit = true;
-      if (!audit::set_enabled(true)) {
-        usage(argv[0],
-              "--audit requires a build with -DPCM_AUDIT=ON (the auditor was "
-              "compiled out)");
-      }
+      audit::set_enabled(true);
     } else if (arg == "--race") {
-      env.race = true;
-      if (!race::set_enabled(true)) {
-        usage(argv[0],
-              "--race requires a build with -DPCM_RACE=ON (the race detector "
-              "was compiled out)");
-      }
+      race::set_enabled(true);
     } else {
       usage(argv[0], "unknown flag '" + arg + "'");
     }

@@ -10,12 +10,18 @@
 //   pcmtool sort      <machine> [--keys-per-node=1024] [--algo=bitonic|samplesort]
 //                     [--variant=word|word-sync|block|packed] [--breakdown]
 //   pcmtool apsp      <machine> [--n=128] [--breakdown]
+//
+// Flags are parsed strictly: a flag the command does not take, a number
+// that is not a positive integer, or a --variant/--algo value outside the
+// list above is a usage error (exit 2) naming the flag.
 
-#include <cstring>
+#include <charconv>
 #include <iostream>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "algos/apsp.hpp"
 #include "audit/audit.hpp"
@@ -40,14 +46,52 @@ namespace {
 
 using namespace pcm;
 
+/// A flag, the commands that take it (empty = every command) and its value:
+/// "" a switch, "#" a positive integer, "*" any text, else one of the
+/// '|'-separated choices.
+struct Flag {
+  std::string_view name, commands, value;
+};
+constexpr Flag kFlags[] = {
+    {"audit", "", ""},
+    {"race", "", ""},
+    {"metrics", "", ""},
+    {"fault", "", "*"},
+    {"trace-out", "", "*"},
+    {"trials", "calibrate", "#"},
+    {"n", "matmul apsp", "#"},
+    {"variant", "matmul", "bpram|bsp|bsp-unstag|mp-bsp"},
+    {"keys-per-node", "sort", "#"},
+    {"algo", "sort", "bitonic|samplesort"},
+    {"variant", "sort", "word|word-sync|block|packed"},
+    {"breakdown", "matmul sort apsp", ""},
+};
+
+/// Is `word` one of the `sep`-separated words of `list`?
+bool listed(std::string_view word, std::string_view list, char sep) {
+  const std::string padded = sep + std::string(list) + sep;
+  return word.find(sep) == std::string_view::npos &&
+         padded.find(sep + std::string(word) + sep) != std::string::npos;
+}
+
+/// Strict whole-token positive integer, by the rule of bench_common.hpp's
+/// detail::parse_number: std::from_chars must consume every character.
+bool parse_count(std::string_view text, int* out) {
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, *out);
+  return !text.empty() && ec == std::errc() && ptr == last && *out > 0;
+}
+
 struct Options {
   std::string command;
   std::string machine;
   std::map<std::string, std::string> flags;
 
-  [[nodiscard]] long get(const std::string& key, long fallback) const {
+  /// A "#" flag's value (validated by parse()), or `fallback`.
+  [[nodiscard]] int get(const std::string& key, int fallback) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atol(it->second.c_str());
+    if (it != flags.end()) parse_count(it->second, &fallback);
+    return fallback;
   }
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const {
@@ -59,25 +103,56 @@ struct Options {
   }
 };
 
+/// Parse `pcmtool <command> [machine] [--flags]`. Throws
+/// std::invalid_argument on an extra argument, a flag the command does not
+/// take, or a malformed value; main() prints it and exits 2.
 Options parse(int argc, char** argv) {
   Options o;
-  int positional = 0;
+  std::vector<std::string> given;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) == 0) {
-      const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        o.flags[arg.substr(2)] = "1";
-      } else {
-        o.flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    } else if (positional == 0) {
+      given.push_back(arg);
+    } else if (o.command.empty()) {
       o.command = arg;
-      ++positional;
-    } else if (positional == 1) {
+    } else if (o.machine.empty()) {
       o.machine = arg;
-      ++positional;
+    } else {
+      throw std::invalid_argument("unexpected argument '" + arg + "'");
     }
+  }
+  if (o.command.empty()) return o;  // main() prints the usage
+  for (const std::string& arg : given) {
+    const auto eq = arg.find('=');
+    const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if (f.name == name &&
+          (f.commands.empty() || listed(o.command, f.commands, ' '))) {
+        flag = &f;
+      }
+    }
+    if (flag == nullptr) {
+      throw std::invalid_argument("unknown flag '--" + name + "' for " +
+                                  o.command);
+    }
+    int count = 0;
+    std::string want;
+    if (flag->value.empty()) {
+      if (eq != std::string::npos) want = "no value";
+    } else if (flag->value == "#") {
+      if (!parse_count(value, &count)) want = "a positive integer";
+    } else if (flag->value == "*") {
+      if (value.empty()) want = "a value";
+    } else if (!listed(value, flag->value, '|')) {
+      want = "one of " + std::string(flag->value);
+    }
+    if (!want.empty()) {
+      throw std::invalid_argument("--" + name + " expects " + want +
+                                  ", got '" + arg + "'");
+    }
+    o.flags[name] = value;
   }
   return o;
 }
@@ -94,9 +169,10 @@ std::unique_ptr<machines::Machine> make_machine_named(const std::string& name,
   }
 }
 
-// Observability output captured at the moment a command's measured workload
-// finished — before any trailing calibration run resets the machine and
-// would otherwise pollute (or clear) the metrics and spans.
+// Observability output (and the spans --breakdown sums) captured at the
+// moment a command's measured workload finished — before any trailing
+// calibration run resets the machine and would otherwise pollute (or clear)
+// the metrics and spans.
 struct ObsCapture {
   bool captured = false;
   std::string machine_name;
@@ -118,17 +194,16 @@ int usage() {
       << "usage: pcmtool <command> [machine] [--flags]\n"
          "  list                         the paper's experiments and benches\n"
          "  params                       published Table 1 parameters\n"
-         "  calibrate <machine>          fit g/L/sigma/ell on the simulator\n"
+         "  calibrate <machine> [--trials=]  fit g/L/sigma/ell on the simulator\n"
          "  matmul <machine> [--n= --variant= --breakdown]\n"
          "  sort   <machine> [--keys-per-node= --algo= --variant= --breakdown]\n"
          "  apsp   <machine> [--n= --breakdown]\n"
          "machines: maspar, gcel, cm5, t800 — or a spec like "
          "\"gcel:procs=16:seed=7\"\n"
-         "global flags: --audit  check runtime invariants while the command\n"
-         "                       runs (requires a -DPCM_AUDIT=ON build)\n"
+         "global flags: --audit  check runtime invariants while the command runs\n"
          "              --race   check BSP superstep ordering (split-phase\n"
          "                       conflicts, stale mailbox reads) while the\n"
-         "                       command runs (requires a -DPCM_RACE=ON build)\n"
+         "                       command runs\n"
          "              --fault=SPEC  inject deterministic faults while the\n"
          "                       command runs; SPEC is kind[:rate=R]\n"
          "                       [:severity=X][:seed=S][:from=A][:to=B] with\n"
@@ -136,32 +211,39 @@ int usage() {
          "                       straggler, barrier-stall\n"
          "              --metrics  print the superstep-resolved metric summary\n"
          "                       (packets, waves, conflicts, queue peaks,\n"
-         "                       barrier skew; requires -DPCM_OBS=ON)\n"
+         "                       barrier skew)\n"
          "              --trace-out=FILE  write a Chrome trace-event JSON of\n"
          "                       the command's run (open in Perfetto or\n"
-         "                       chrome://tracing; requires -DPCM_OBS=ON)\n"
+         "                       chrome://tracing)\n"
          "exit codes: 0 ok, 1 wrong output, 2 usage, 3 invariant violation\n"
          "            (AuditError), 4 superstep race (RaceError), 5 other\n"
          "            runtime failure\n";
   return 2;
 }
 
-void breakdown(machines::Machine& m) {
-  const auto& t = m.trace();
-  // Compute charges are recorded per processor; communication and barrier
-  // records are wall-clock phases. Average the compute over the processors
-  // to put everything in wall-clock terms (balanced SPMD assumption).
-  const double comp =
-      t.total(sim::PhaseKind::Compute) / static_cast<double>(m.procs());
-  const double comm = t.total(sim::PhaseKind::Communicate);
-  const double barr = t.total(sim::PhaseKind::Barrier);
+/// Print the captured run's split of simulated time into local computation,
+/// communication and barriers. The spans tile [0, makespan], so the three
+/// shares add up to the measured time; only Communicate spans carry
+/// messages and bytes.
+void breakdown(const std::vector<obs::Span>& spans) {
+  double comp = 0.0, comm = 0.0, barr = 0.0;
+  std::uint64_t messages = 0, bytes = 0;
+  for (const auto& s : spans) {
+    switch (s.kind) {
+      case obs::SpanKind::Compute: comp += s.duration; break;
+      case obs::SpanKind::Communicate: comm += s.duration; break;
+      case obs::SpanKind::Barrier: barr += s.duration; break;
+    }
+    messages += s.messages;
+    bytes += s.bytes;
+  }
   const double total = comp + comm + barr;
   if (total <= 0.0) return;
   std::cout << "breakdown: compute " << report::Table::num(100.0 * comp / total, 1)
             << "%, communication " << report::Table::num(100.0 * comm / total, 1)
             << "%, barriers " << report::Table::num(100.0 * barr / total, 1)
-            << "%  (" << t.total_messages() << " messages, "
-            << t.total_bytes() << " payload bytes)\n";
+            << "%  (" << messages << " messages, " << bytes
+            << " payload bytes)\n";
 }
 
 int cmd_list() {
@@ -188,7 +270,7 @@ int cmd_params() {
 
 int cmd_calibrate(machines::Machine& m, const Options& o) {
   calibrate::CalibrationOptions opts;
-  opts.trials = static_cast<int>(o.get("trials", 10));
+  opts.trials = o.get("trials", 10);
   const auto p = calibrate::calibrate(m, opts);
   obs_capture(m);
   std::cout << p.machine << ": g = " << report::Table::num(p.bsp.g, 1)
@@ -209,7 +291,7 @@ int cmd_calibrate(machines::Machine& m, const Options& o) {
 }
 
 int cmd_matmul(machines::Machine& m, const Options& o) {
-  const int n = algos::matmul_round_n(m, static_cast<int>(o.get("n", 256)));
+  const int n = algos::matmul_round_n(m, o.get("n", 256));
   const std::string vname = o.get("variant", std::string("bpram"));
   algos::MatmulVariant v = algos::MatmulVariant::Bpram;
   if (vname == "bsp") v = algos::MatmulVariant::BspStaggered;
@@ -221,7 +303,7 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
   for (auto& x : a) x = rng.next_double();
   for (auto& x : b) x = rng.next_double();
 
-  if (o.has("breakdown")) m.trace().set_enabled(true);
+  if (o.has("breakdown")) m.set_observing(true);
   const auto r = algos::run_matmul<double>(m, a, b, n, v);
   obs_capture(m);
   const auto ok = algos::ref::matmul(a, b, n);
@@ -232,7 +314,6 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
   copts.trials = 5;
   copts.fit_t_unb = false;
   copts.fit_mscat = false;
-  m.trace().set_enabled(false);
   const auto params = calibrate::calibrate(m, copts);
   const int q = algos::matmul_q(m);
   double pred = 0.0;
@@ -250,6 +331,7 @@ int cmd_matmul(machines::Machine& m, const Options& o) {
             << diff << "\n  predicted " << report::Table::num(pred / 1e3, 1)
             << " ms (" << report::Table::num(100.0 * (pred - r.time) / r.time, 1)
             << "% error)\n";
+  if (o.has("breakdown")) breakdown(g_obs.spans);
   return diff > 1e-6 ? 1 : 0;
 }
 
@@ -263,7 +345,7 @@ int cmd_sort(machines::Machine& m, const Options& o) {
                                   static_cast<std::size_t>(m.procs()));
   for (auto& k : keys) k = static_cast<std::uint32_t>(rng.next_u64());
 
-  if (o.has("breakdown")) m.trace().set_enabled(true);
+  if (o.has("breakdown")) m.set_observing(true);
   double time = 0.0, per_key = 0.0;
   bool sorted = false;
   if (algo == "samplesort") {
@@ -292,16 +374,16 @@ int cmd_sort(machines::Machine& m, const Options& o) {
             << report::Table::num(time / 1e3, 1) << " ms total, "
             << report::Table::num(per_key, 1) << " us/key, "
             << (sorted ? "output sorted" : "OUTPUT NOT SORTED!") << "\n";
-  breakdown(m);
+  if (o.has("breakdown")) breakdown(g_obs.spans);
   return sorted ? 0 : 1;
 }
 
 int cmd_apsp(machines::Machine& m, const Options& o) {
   const int s = algos::apsp_grid_side(m);
-  int n = static_cast<int>(o.get("n", 128));
+  int n = o.get("n", 128);
   n = ((n + s - 1) / s) * s;
   const auto d0 = algos::ref::random_digraph(n, 0.05, 3);
-  if (o.has("breakdown")) m.trace().set_enabled(true);
+  if (o.has("breakdown")) m.set_observing(true);
   const auto v = (m.name().find("MasPar") != std::string_view::npos)
                      ? algos::ApspVariant::MpBsp
                      : algos::ApspVariant::Bsp;
@@ -315,24 +397,22 @@ int cmd_apsp(machines::Machine& m, const Options& o) {
   std::cout << "apsp N=" << n << " on " << m.name() << ": "
             << report::Table::num(r.time / 1e3, 1)
             << " ms, max|diff vs Floyd| = " << diff << "\n";
-  breakdown(m);
+  if (o.has("breakdown")) breakdown(g_obs.spans);
   return diff > 0.0 ? 1 : 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto o = parse(argc, argv);
-  if (o.has("audit") && !audit::set_enabled(true)) {
-    std::cerr << "pcmtool: --audit requires a build with -DPCM_AUDIT=ON (the "
-                 "auditor was compiled out)\n";
+  Options o;
+  try {
+    o = parse(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "pcmtool: " << e.what() << "\n";
     return 2;
   }
-  if (o.has("race") && !race::set_enabled(true)) {
-    std::cerr << "pcmtool: --race requires a build with -DPCM_RACE=ON (the "
-                 "race detector was compiled out)\n";
-    return 2;
-  }
+  if (o.has("audit")) audit::set_enabled(true);
+  if (o.has("race")) race::set_enabled(true);
   if (o.has("fault")) {
     try {
       fault::set_plan(fault::parse_fault_plan(o.get("fault", std::string())));
@@ -342,11 +422,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::string trace_out = o.get("trace-out", std::string());
-  if ((o.has("metrics") || !trace_out.empty()) && !obs::set_enabled(true)) {
-    std::cerr << "pcmtool: --metrics/--trace-out require a build with "
-                 "-DPCM_OBS=ON (the observability plane was compiled out)\n";
-    return 2;
-  }
+  if (o.has("metrics") || !trace_out.empty()) obs::set_enabled(true);
   if (o.command == "list") return cmd_list();
   if (o.command == "params") return cmd_params();
 

@@ -31,21 +31,16 @@
 // A violation raises AuditError naming the machine, the superstep and the
 // resource involved.
 //
-// Compile-time gate: the PCM_AUDIT CMake option defines PCM_AUDIT_ENABLED.
-// With it OFF every hook collapses to `if (false)` and the auditor costs
-// nothing. With it ON (the default) the hooks cost one predictable branch
-// while disabled at runtime; the `--audit` flag of the bench harness and
-// pcmtool (or PCM_AUDIT=1 in the environment, or audit::set_enabled) turns
-// the checks on.
-
-#ifndef PCM_AUDIT_ENABLED
-#define PCM_AUDIT_ENABLED 1
-#endif
+// The auditor is always compiled in and off at run time; while off, each
+// hook costs one predictable branch. The `--audit` flag of the bench harness
+// and pcmtool (or PCM_AUDIT=1 in the environment, or audit::set_enabled)
+// turns the checks on.
 
 namespace pcm::audit {
 
-/// True when the auditor was compiled in (-DPCM_AUDIT=ON).
-constexpr bool compiled_in() { return PCM_AUDIT_ENABLED != 0; }
+/// Always true: every build compiles the auditor in. Kept because the
+/// figure-kernel benchmark (figbench/main.cpp) static_asserts it.
+constexpr bool compiled_in() { return true; }
 
 /// A violated simulator invariant. `machine` and `superstep` are filled in
 /// by the Machine layer when the violation surfaces below it (the routers
@@ -98,7 +93,7 @@ namespace detail {
 inline std::atomic<bool>& flag() {
   static std::atomic<bool> on{[] {
     const char* env = std::getenv("PCM_AUDIT");
-    return compiled_in() && env != nullptr && env[0] != '\0' &&
+    return env != nullptr && env[0] != '\0' &&
            !(env[0] == '0' && env[1] == '\0');
   }()};
   return on;
@@ -111,21 +106,12 @@ inline std::atomic<std::uint64_t>& check_counter() {
 
 }  // namespace detail
 
-/// Is auditing active right now? Constant-false when compiled out.
-inline bool enabled() {
-  if constexpr (!compiled_in()) {
-    return false;
-  } else {
-    return detail::flag().load(std::memory_order_relaxed);
-  }
-}
+/// Is auditing active right now?
+inline bool enabled() { return detail::flag().load(std::memory_order_relaxed); }
 
-/// Toggle auditing. Returns false (and stays off) when the auditor was
-/// compiled out; callers that *require* auditing should treat that as fatal.
-inline bool set_enabled(bool on) {
-  if (!compiled_in() && on) return false;
-  detail::flag().store(on && compiled_in(), std::memory_order_relaxed);
-  return true;
+/// Toggle auditing.
+inline void set_enabled(bool on) {
+  detail::flag().store(on, std::memory_order_relaxed);
 }
 
 /// Number of individual invariant checks that have passed so far (across

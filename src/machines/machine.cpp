@@ -84,16 +84,10 @@ void Machine::charge(int p, sim::Micros us) {
   assert(us >= 0.0);
   if (injector_ != nullptr) us *= injector_->compute_multiplier(p, superstep_);
   clocks_.advance(p, us);
-  if (trace_.enabled()) {
-    trace_.record(
-        {sim::PhaseKind::Compute, "", clocks_.at(p) - us, us, 0, 0, superstep_});
-  }
 }
 
 void Machine::charge_all(sim::Micros us) {
   assert(us >= 0.0);
-  const sim::Micros before = now();
-  sim::Micros total = 0.0;
   // Charging compute to every PE is dense by definition: the BSP/QSM cost
   // models bill the whole machine per superstep.
   for (int p = 0; p < procs(); ++p) {  // pcm-lint:allow(dense-scan)
@@ -102,13 +96,6 @@ void Machine::charge_all(sim::Micros us) {
       scaled *= injector_->compute_multiplier(p, superstep_);
     }
     clocks_.advance(p, scaled);
-    total += scaled;
-  }
-  if (trace_.enabled()) {
-    // Compute trace durations are per-processor work sums (one record per
-    // charge() call); a lock-step charge contributes the summed scaled work.
-    trace_.record({sim::PhaseKind::Compute, "all", before, total, 0, 0,
-                   superstep_});
   }
 }
 
@@ -150,11 +137,6 @@ void Machine::exchange(const net::CommPattern& pattern) {
     }
   } else {
     router_->route(*routed, clocks_, rng_);
-  }
-  if (trace_.enabled()) {
-    trace_.record({sim::PhaseKind::Communicate, "", before, now() - before,
-                   static_cast<long>(routed->size()), routed->total_bytes(),
-                   superstep_});
   }
   if (metrics_.on()) {
     const obs::Builtin& b = obs::builtin();
@@ -207,10 +189,6 @@ void Machine::barrier() {
     }
     audit::count_check();
   }
-  if (trace_.enabled()) {
-    trace_.record(
-        {sim::PhaseKind::Barrier, "", before, now() - before, 0, 0, superstep_});
-  }
   if (spans_.on()) spans_.on_barrier(before, now(), superstep_);
   ++superstep_;
   // The superstep counter is the race detector's happens-before epoch;
@@ -225,10 +203,8 @@ void Machine::reset() {
   router_->new_trial(rng_);
   superstep_ = 0;
   ++trial_;
-  // A trial transition starts from a clean timeline: stale phase records
-  // would otherwise bleed the previous trial's totals into this one's
-  // breakdown, and the span recorder's cursor must restart at zero.
-  trace_.clear();
+  // A trial transition starts from a clean timeline: the previous trial's
+  // spans must not bleed into this one's, and the cursor restarts at zero.
   spans_.begin_trial(trial_);
   if (injector_ != nullptr) injector_->new_trial(trial_);
   last_faults_.clear();

@@ -12,7 +12,6 @@
 #include "obs/span.hpp"
 #include "sim/clockset.hpp"
 #include "sim/rng.hpp"
-#include "sim/trace.hpp"
 
 // A simulated parallel machine: P processors with virtual clocks, a network
 // router, a local-compute cost model and a barrier facility. Algorithms run
@@ -48,7 +47,6 @@ class Machine {
   [[nodiscard]] net::Router& router() { return *router_; }
   [[nodiscard]] const net::Router& router() const { return *router_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
-  [[nodiscard]] sim::Trace& trace() { return trace_; }
 
   /// The machine's observability state (pcm::obs). Off unless the plane was
   /// enabled at construction (obs::enabled()) or via set_observing().
@@ -132,7 +130,6 @@ class Machine {
   sim::ClockSet clocks_;
   sim::Micros barrier_cost_;
   sim::Rng rng_;
-  sim::Trace trace_;
   obs::Metrics metrics_;
   obs::SpanRecorder spans_;
   long superstep_ = 0;

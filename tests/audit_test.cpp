@@ -31,10 +31,6 @@ class AuditOn {
   ~AuditOn() { audit::set_enabled(false); }
 };
 
-// Tests that need the hooks live skip themselves in -DPCM_AUDIT=OFF builds.
-#define PCM_REQUIRE_AUDIT_COMPILED_IN()                                \
-  if (!audit::compiled_in()) GTEST_SKIP() << "built with -DPCM_AUDIT=OFF"
-
 // --- error type ------------------------------------------------------------
 
 TEST(AuditError, ComposesContextIntoMessage) {
@@ -59,12 +55,10 @@ TEST(AuditError, ComposesContextIntoMessage) {
 // --- enable/disable --------------------------------------------------------
 
 TEST(AuditToggle, CompiledInAndDisabledByDefault) {
-  PCM_REQUIRE_AUDIT_COMPILED_IN();
-  EXPECT_TRUE(audit::compiled_in());
   EXPECT_FALSE(audit::enabled());  // runtime default is off
-  EXPECT_TRUE(audit::set_enabled(true));
+  audit::set_enabled(true);
   EXPECT_TRUE(audit::enabled());
-  EXPECT_TRUE(audit::set_enabled(false));
+  audit::set_enabled(false);
   EXPECT_FALSE(audit::enabled());
 }
 
@@ -156,7 +150,6 @@ class TestMachine final : public machines::Machine {
 };
 
 TEST(AuditViolation, BackwardsClockRaisesAnnotatedError) {
-  PCM_REQUIRE_AUDIT_COMPILED_IN();
   AuditOn on;
   TestMachine m("test-machine", 4,
                 std::make_unique<BackwardsRouter>(4, 25.0));
@@ -175,7 +168,6 @@ TEST(AuditViolation, BackwardsClockRaisesAnnotatedError) {
 }
 
 TEST(AuditViolation, OccupancyLeakSurfacesAtBarrier) {
-  PCM_REQUIRE_AUDIT_COMPILED_IN();
   AuditOn on;
   TestMachine m("leaky", 4, std::make_unique<LeakyRouter>(4));
   net::CommPattern pat(4);
@@ -185,7 +177,6 @@ TEST(AuditViolation, OccupancyLeakSurfacesAtBarrier) {
 }
 
 TEST(AuditViolation, OccupancyLeakNamesTheResource) {
-  PCM_REQUIRE_AUDIT_COMPILED_IN();
   AuditOn on;
   TestMachine m("leaky", 4, std::make_unique<LeakyRouter>(4));
   try {
@@ -199,7 +190,6 @@ TEST(AuditViolation, OccupancyLeakNamesTheResource) {
 }
 
 TEST(AuditViolation, NegativeChargeRejected) {
-  PCM_REQUIRE_AUDIT_COMPILED_IN();
   AuditOn on;
   TestMachine m("neg", 2, std::make_unique<LeakyRouter>(2));
   try {
@@ -223,7 +213,6 @@ TEST(AuditViolation, SilentWhenDisabled) {
 }
 
 TEST(AuditViolation, SupersteppedContext) {
-  PCM_REQUIRE_AUDIT_COMPILED_IN();
   AuditOn on;
   TestMachine m("stepper", 4, std::make_unique<BackwardsRouter>(4, 1e9));
   // Two clean barriers first: the violation must report superstep 2.
@@ -243,7 +232,6 @@ TEST(AuditViolation, SupersteppedContext) {
 // --- golden path on the paper machines -------------------------------------
 
 void run_audited_smoke(machines::Platform platform) {
-  PCM_REQUIRE_AUDIT_COMPILED_IN();
   AuditOn on;
   const auto before = audit::checks_passed();
   auto m = machines::make_machine(

@@ -28,20 +28,18 @@
 namespace pcm {
 namespace {
 
-/// RAII toggle for the runtime flag of a gated plane (obs/audit/race).
+/// RAII toggle for the runtime flag of a plane (obs/audit/race).
 class FlagGuard {
  public:
-  FlagGuard(bool (*set)(bool), bool (*get)(), bool want)
+  FlagGuard(void (*set)(bool), bool (*get)(), bool want)
       : set_(set), saved_(get()) {
-    if (!set_(want) && want) skip_ = true;  // compiled out
+    set_(want);
   }
   ~FlagGuard() { set_(saved_); }
-  [[nodiscard]] bool compiled_out() const { return skip_; }
 
  private:
-  bool (*set_)(bool);
+  void (*set_)(bool);
   bool saved_;
-  bool skip_ = false;
 };
 
 FlagGuard obs_on() { return {&obs::set_enabled, &obs::enabled, true}; }
@@ -245,6 +243,12 @@ TEST(ObsSpans, OffRecordsNothing) {
   EXPECT_TRUE(rec.spans().empty());
 }
 
+TEST(ObsSpans, KindNames) {
+  EXPECT_EQ(obs::to_string(obs::SpanKind::Compute), "compute");
+  EXPECT_EQ(obs::to_string(obs::SpanKind::Communicate), "communicate");
+  EXPECT_EQ(obs::to_string(obs::SpanKind::Barrier), "barrier");
+}
+
 // -------------------------------------------------------------- golden trace
 
 /// The fixed two-superstep workload the golden tests replay on every
@@ -331,35 +335,22 @@ TEST(ObsGolden, ReplayIsByteIdentical) {
 
 TEST(ObsReset, TrialTransitionStartsFromCleanTraceAndSpans) {
   auto m = test::small_cm5();
-  m->trace().set_enabled(true);
   m->set_observing(true);
   run_golden_workload(*m, 8);
-  ASSERT_GT(m->trace().total_messages(), 0L);
   ASSERT_FALSE(m->spans().spans().empty());
   const long trial_before = m->spans().trial();
 
   m->reset();
-  // The previous trial's attribution records and spans must not leak into
-  // the new trial (regression: Trace survived reset() before obs existed).
-  EXPECT_EQ(m->trace().total_messages(), 0L);
-  EXPECT_EQ(m->trace().total_bytes(), 0L);
-  EXPECT_DOUBLE_EQ(m->trace().total(sim::PhaseKind::Compute), 0.0);
+  // The previous trial's spans must not leak into the new trial, and the
+  // new timeline restarts at zero.
   EXPECT_TRUE(m->spans().spans().empty());
   EXPECT_EQ(m->spans().trial(), trial_before + 1);
   // Metrics are cumulative across trials by design — they aggregate a whole
   // cell — but the clocks restart.
   EXPECT_DOUBLE_EQ(m->now(), 0.0);
-}
-
-TEST(ObsReset, TracePerSuperstepTotals) {
-  auto m = test::small_gcel();
-  m->trace().set_enabled(true);
-  run_golden_workload(*m, 4);
-  EXPECT_DOUBLE_EQ(m->trace().total(sim::PhaseKind::Compute, 0), 5.0);
-  EXPECT_DOUBLE_EQ(m->trace().total(sim::PhaseKind::Compute, 1),
-                   3.0 * m->procs());
-  EXPECT_DOUBLE_EQ(m->trace().total(sim::PhaseKind::Compute),
-                   5.0 + 3.0 * m->procs());
+  run_golden_workload(*m, 8);
+  EXPECT_DOUBLE_EQ(m->spans().spans().front().start, 0.0);
+  EXPECT_DOUBLE_EQ(m->spans().spans().front().duration, 5.0);
 }
 
 // ----------------------------------------------------------------- exporters
@@ -442,7 +433,6 @@ exec::SweepSpec obs_sweep_spec(int jobs) {
 
 TEST(ObsSweep, MetricsByteIdenticalAcrossJobs) {
   const auto guard = obs_on();
-  if (guard.compiled_out()) GTEST_SKIP() << "PCM_OBS=OFF build";
   const auto serial = exec::run_sweep(obs_sweep_spec(1));
   const auto parallel = exec::run_sweep(obs_sweep_spec(4));
   ASSERT_FALSE(serial.metrics.empty());
@@ -462,7 +452,6 @@ TEST(ObsSweep, ObservingDoesNotPerturbMeasurements) {
   auto off = exec::run_sweep(obs_sweep_spec(2));
   ASSERT_TRUE(off.metrics.empty());
   const auto guard = obs_on();
-  if (guard.compiled_out()) GTEST_SKIP() << "PCM_OBS=OFF build";
   const auto on = exec::run_sweep(obs_sweep_spec(2));
   ASSERT_EQ(off.series.points.size(), on.series.points.size());
   for (std::size_t i = 0; i < off.series.points.size(); ++i) {
@@ -473,14 +462,10 @@ TEST(ObsSweep, ObservingDoesNotPerturbMeasurements) {
 
 TEST(ObsSweep, AuditAndRacePlanesDoNotPerturbMetrics) {
   const auto guard = obs_on();
-  if (guard.compiled_out()) GTEST_SKIP() << "PCM_OBS=OFF build";
   const auto plain = exec::run_sweep(obs_sweep_spec(2));
 
   const FlagGuard audit_guard{&audit::set_enabled, &audit::enabled, true};
   const FlagGuard race_guard{&race::set_enabled, &race::enabled, true};
-  if (audit_guard.compiled_out() || race_guard.compiled_out()) {
-    GTEST_SKIP() << "audit/race compiled out";
-  }
   const auto checked = exec::run_sweep(obs_sweep_spec(2));
   EXPECT_EQ(obs::to_string(plain.metrics.totals),
             obs::to_string(checked.metrics.totals));

@@ -31,10 +31,6 @@ class RaceOn {
   ~RaceOn() { race::set_enabled(false); }
 };
 
-// Tests that need the hooks live skip themselves in -DPCM_RACE=OFF builds.
-#define PCM_REQUIRE_RACE_COMPILED_IN() \
-  if (!race::compiled_in()) GTEST_SKIP() << "built with -DPCM_RACE=OFF"
-
 // --- error type ------------------------------------------------------------
 
 TEST(RaceError, ComposesContextIntoMessage) {
@@ -71,15 +67,13 @@ TEST(RaceError, OmitsUnknownFields) {
 // --- enable/disable --------------------------------------------------------
 
 TEST(RaceToggle, CompiledInAndDisabledByDefault) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   if (std::getenv("PCM_RACE") != nullptr) {
     GTEST_SKIP() << "PCM_RACE set in the environment; default-off not testable";
   }
-  EXPECT_TRUE(race::compiled_in());
   EXPECT_FALSE(race::enabled());  // runtime default is off
-  EXPECT_TRUE(race::set_enabled(true));
+  race::set_enabled(true);
   EXPECT_TRUE(race::enabled());
-  EXPECT_TRUE(race::set_enabled(false));
+  race::set_enabled(false);
   EXPECT_FALSE(race::enabled());
 }
 
@@ -101,7 +95,6 @@ TEST(RaceEpoch, BarrierAdvancesSuperstepResetAdvancesTrial) {
 // --- seeded violations -----------------------------------------------------
 
 TEST(RaceViolation, WriteWriteInOneBatch) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_cm5();
   runtime::GlobalArray<int> ga(*m, 64);
@@ -121,7 +114,6 @@ TEST(RaceViolation, WriteWriteInOneBatch) {
 }
 
 TEST(RaceViolation, StoreCollidingWithPut) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_gcel();
   runtime::GlobalArray<int> ga(*m, 32);
@@ -137,7 +129,6 @@ TEST(RaceViolation, StoreCollidingWithPut) {
 }
 
 TEST(RaceViolation, ReadBeforeSyncViaGet) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_cm5();
   runtime::GlobalArray<int> ga(*m, 64);
@@ -157,7 +148,6 @@ TEST(RaceViolation, ReadBeforeSyncViaGet) {
 }
 
 TEST(RaceViolation, ReadBeforeSyncViaLocalRead) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_cm5();
   runtime::GlobalArray<int> ga(*m, 16);
@@ -168,7 +158,6 @@ TEST(RaceViolation, ReadBeforeSyncViaLocalRead) {
 }
 
 TEST(RaceViolation, StaleMailboxReadAfterReset) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_cm5();
   runtime::Exchange<int> ex(*m, runtime::TransferMode::Word);
@@ -188,7 +177,6 @@ TEST(RaceViolation, StaleMailboxReadAfterReset) {
 }
 
 TEST(RaceViolation, BypassWriteByNonOwner) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_cm5();  // P = 16
   runtime::GlobalArray<int> ga(*m, 64);
@@ -210,7 +198,6 @@ TEST(RaceViolation, BypassWriteByNonOwner) {
 }
 
 TEST(RaceViolation, UndeclaredPeSkipsOwnershipCheck) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_cm5();
   runtime::GlobalArray<int> ga(*m, 16);
@@ -221,7 +208,6 @@ TEST(RaceViolation, UndeclaredPeSkipsOwnershipCheck) {
 }
 
 TEST(RaceViolation, SyncClearsPendingMarks) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   auto m = test::small_cm5();
   runtime::GlobalArray<int> ga(*m, 64);
@@ -267,7 +253,6 @@ TEST(RaceViolation, SilentWhenDisabled) {
 // --- golden path on the paper machines -------------------------------------
 
 void run_raced_smoke(machines::Platform platform) {
-  PCM_REQUIRE_RACE_COMPILED_IN();
   RaceOn on;
   const auto before = race::checks_passed();
   auto m = machines::make_machine(

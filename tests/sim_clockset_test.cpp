@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/clockset.hpp"
-#include "sim/trace.hpp"
 
 namespace pcm::sim {
 namespace {
@@ -43,32 +42,6 @@ TEST(ClockSet, ResetZeroes) {
   c.advance(0, 3.0);
   c.reset();
   EXPECT_EQ(c.max(), 0.0);
-}
-
-TEST(Trace, DisabledRecordsNothing) {
-  Trace t;
-  t.record({PhaseKind::Compute, "x", 0.0, 1.0, 0, 0});
-  EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Trace, TotalsPerKind) {
-  Trace t;
-  t.set_enabled(true);
-  t.record({PhaseKind::Compute, "", 0.0, 2.0, 0, 0});
-  t.record({PhaseKind::Communicate, "", 2.0, 3.0, 10, 40});
-  t.record({PhaseKind::Communicate, "", 5.0, 1.0, 5, 20});
-  t.record({PhaseKind::Barrier, "", 6.0, 0.5, 0, 0});
-  EXPECT_DOUBLE_EQ(t.total(PhaseKind::Compute), 2.0);
-  EXPECT_DOUBLE_EQ(t.total(PhaseKind::Communicate), 4.0);
-  EXPECT_DOUBLE_EQ(t.total(PhaseKind::Barrier), 0.5);
-  EXPECT_EQ(t.total_messages(), 15);
-  EXPECT_EQ(t.total_bytes(), 60);
-}
-
-TEST(Trace, KindNames) {
-  EXPECT_EQ(to_string(PhaseKind::Compute), "compute");
-  EXPECT_EQ(to_string(PhaseKind::Communicate), "communicate");
-  EXPECT_EQ(to_string(PhaseKind::Barrier), "barrier");
 }
 
 }  // namespace

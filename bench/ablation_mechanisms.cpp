@@ -134,7 +134,8 @@ void ablate_recv_dominance() {
 
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  bench::parse_env(argc, argv, "");
   ablate_delta_conflicts();
   ablate_hotspot();
   ablate_backlog();

@@ -20,7 +20,6 @@
 #include "core/validation.hpp"
 #include "exec/sweep.hpp"
 #include "report/table.hpp"
-#include "shard/shard.hpp"
 #include "sim/stats.hpp"
 
 // Shared scaffolding for the figure/table reproduction binaries. Every bench
@@ -29,20 +28,20 @@
 // prediction with relative errors, an ASCII rendering of the figure, and —
 // when PCM_RESULTS_DIR is set — a CSV dump.
 //
-// Flags: --quick (smaller sweeps), --trials=K, --jobs=N, --seed=S, --audit
-// (run with the invariant auditor on), --race (run with the superstep race
-// detector on), --fault=SPEC (deterministic fault injection, e.g.
-// drop:rate=0.05:seed=7), --retries=K / --cell-timeout-ms=T (per-cell
+// Every bench takes --quick (smaller sweeps), --audit (run with the
+// invariant auditor on), --race (run with the superstep race detector on)
+// and --fault=SPEC (deterministic fault injection, e.g.
+// drop:rate=0.05:seed=7). Beyond those, a bench takes only the flags it
+// acts on, named in its call to parse_env; any other flag is a usage
+// error. The sweep benches take all of kSweepFlags: --trials=K, --jobs=N,
+// --seed=S, --procs=P, --retries=K / --cell-timeout-ms=T (per-cell
 // resilience policy), --checkpoint=DIR / --resume (crash-safe journal +
-// resumption), --metrics (superstep-resolved metric summary),
-// --trace-out=FILE (Chrome trace-event JSON of one representative cell)
-// and --shard-workers=N (run the sweep across N supervised worker
-// *processes* via pcm::shard — crash-tolerant, byte-identical output; the
-// PCM_PROCESS_CHAOS environment variable injects a seeded worker kill/stall
-// schedule for testing the supervisor). Sweeps run
-// through the exec engine (exec/sweep.hpp): one fresh machine per (x, trial)
-// cell, seeded per cell, so output is bit-identical at any --jobs value —
-// and at any --shard-workers value, under any schedule of worker deaths.
+// resumption), --metrics (superstep-resolved metric summary) and
+// --trace-out=FILE (Chrome trace-event JSON of one representative cell).
+// Sweeps run through the exec engine (exec/sweep.hpp): one fresh machine
+// per (x, trial) cell, seeded per cell, so output is bit-identical at any
+// --jobs value, and a SIGKILLed checkpointed sweep resumes to the same
+// bytes.
 //
 // All numeric flag values are parsed strictly (std::from_chars): trailing
 // garbage, signs where they make no sense, and out-of-range values are
@@ -51,7 +50,6 @@
 namespace pcm::bench {
 
 // The sweep vocabulary lives in the engine; benches keep their old names.
-// (run_sweep is wrapped below so --shard-workers can reroute it.)
 using exec::Predictor;
 using exec::SweepSpec;
 using exec::TrialContext;
@@ -68,57 +66,64 @@ struct Env {
   std::string checkpoint;   ///< Journal directory (empty = no journal).
   bool resume = false;      ///< Resume from the checkpoint journal.
   std::string trace_out;    ///< Chrome trace-event JSON path (empty = none).
-  int shard_workers = 0;    ///< Worker processes; <= 1 = in-process sweep.
 };
 
-[[noreturn]] inline void usage(const char* argv0, const std::string& error) {
-  if (!error.empty()) std::cerr << argv0 << ": " << error << "\n";
-  std::cerr << "usage: " << argv0
-            << " [--quick] [--trials=K] [--jobs=N] [--seed=S] [--procs=P] [--audit]\n"
-            << "       [--race] [--fault=SPEC] [--retries=K] [--cell-timeout-ms=T]\n"
-            << "       [--checkpoint=DIR] [--resume] [--metrics] [--trace-out=FILE]\n"
-            << "       [--shard-workers=N]\n"
-            << "  --quick      run a smaller sweep\n"
-            << "  --trials=K   trials per data point (K > 0)\n"
-            << "  --jobs=N     parallel sweep workers; 0 = all hardware threads\n"
-            << "  --seed=S     base seed for the deterministic per-cell streams\n"
-            << "  --procs=P    simulated machine size (P > 0); default is the\n"
-            << "               platform's Table 1 size (1024 MasPar, 64 others).\n"
-            << "               Workload sizes scale with it where the figure's\n"
-            << "               x-axis is per-processor\n"
-            << "  --audit      check runtime invariants (packet conservation,\n"
-            << "               occupancy leaks, clock monotonicity) as the\n"
-            << "               sweep runs\n"
-            << "  --race       check BSP superstep ordering (write-write,\n"
-            << "               read-before-sync, stale mailbox reads, bypass\n"
-            << "               writes) as the sweep runs\n"
-            << "  --fault=SPEC inject deterministic faults; SPEC is\n"
-            << "               kind[:rate=R][:severity=X][:seed=S][:from=A][:to=B]\n"
-            << "               with kind one of drop, dup, dead-channel,\n"
-            << "               corrupt, straggler, barrier-stall\n"
-            << "  --retries=K  re-run a failing cell up to K more times\n"
-            << "               (reseeded per attempt, deterministically)\n"
-            << "  --cell-timeout-ms=T  cancel a cell stuck for T wall-clock ms\n"
-            << "  --checkpoint=DIR     journal finished cells under DIR\n"
-            << "  --resume     skip cells already in the checkpoint journal\n"
-            << "  --metrics    collect superstep-resolved metrics (packets,\n"
-            << "               waves, conflicts, queue peaks, barrier skew)\n"
-            << "               and print the sweep summary\n"
-            << "  --trace-out=FILE     write a Chrome trace-event JSON of one\n"
-            << "               representative cell (largest x, trial 0);\n"
-            << "               open in Perfetto or chrome://tracing\n"
-            << "  --shard-workers=N    run the sweep across N supervised\n"
-            << "               worker processes (crash-tolerant; output stays\n"
-            << "               byte-identical to an in-process run). Workers\n"
-            << "               that die are restarted with backoff and their\n"
-            << "               unfinished cells reassigned. Set\n"
-            << "               PCM_PROCESS_CHAOS=seed=S:kill=P[:stall=P]\n"
-            << "               [:stall-ms=M][:max=K] to inject a seeded\n"
-            << "               worker kill/stall schedule\n";
-  std::exit(error.empty() ? 0 : 2);
-}
+/// The flags a bench that runs its sweep through apply_env takes, in the
+/// form parse_env expects: flag names without "--", space-separated.
+constexpr std::string_view kSweepFlags =
+    "trials jobs seed procs retries cell-timeout-ms checkpoint resume "
+    "metrics trace-out";
 
 namespace detail {
+
+/// The flags every bench takes: the three planes act on every machine the
+/// process builds, and --quick lets one command line run every bench.
+constexpr std::string_view kCommonFlags = "quick audit race fault";
+
+/// Each flag's usage text, in the order the usage message lists them.
+struct FlagHelp {
+  std::string_view name;
+  std::string_view text;
+};
+constexpr FlagHelp kFlagHelp[] = {
+    {"quick", "  --quick      run a smaller sweep\n"},
+    {"trials", "  --trials=K   trials per data point (K > 0)\n"},
+    {"jobs", "  --jobs=N     parallel sweep workers; 0 = all hardware threads\n"},
+    {"seed", "  --seed=S     base seed for the deterministic per-cell streams\n"},
+    {"procs",
+     "  --procs=P    simulated machine size (P > 0); default is the\n"
+     "               platform's Table 1 size (1024 MasPar, 64 others).\n"
+     "               Workload sizes scale with it where the figure's\n"
+     "               x-axis is per-processor\n"},
+    {"audit",
+     "  --audit      check runtime invariants (packet conservation,\n"
+     "               occupancy leaks, clock monotonicity) as the\n"
+     "               sweep runs\n"},
+    {"race",
+     "  --race       check BSP superstep ordering (write-write,\n"
+     "               read-before-sync, stale mailbox reads, bypass\n"
+     "               writes) as the sweep runs\n"},
+    {"fault",
+     "  --fault=SPEC inject deterministic faults; SPEC is\n"
+     "               kind[:rate=R][:severity=X][:seed=S][:from=A][:to=B]\n"
+     "               with kind one of drop, dup, dead-channel,\n"
+     "               corrupt, straggler, barrier-stall\n"},
+    {"retries",
+     "  --retries=K  re-run a failing cell up to K more times\n"
+     "               (reseeded per attempt, deterministically)\n"},
+    {"cell-timeout-ms",
+     "  --cell-timeout-ms=T  cancel a cell stuck for T wall-clock ms\n"},
+    {"checkpoint", "  --checkpoint=DIR     journal finished cells under DIR\n"},
+    {"resume", "  --resume     skip cells already in the checkpoint journal\n"},
+    {"metrics",
+     "  --metrics    collect superstep-resolved metrics (packets,\n"
+     "               waves, conflicts, queue peaks, barrier skew)\n"
+     "               and print the sweep summary\n"},
+    {"trace-out",
+     "  --trace-out=FILE     write a Chrome trace-event JSON of one\n"
+     "               representative cell (largest x, trial 0);\n"
+     "               open in Perfetto or chrome://tracing\n"},
+};
 
 /// Strict whole-token numeric parse: no leading whitespace or '+', no
 /// trailing garbage, range-checked by from_chars. Returns false on any of
@@ -133,64 +138,88 @@ inline bool parse_number(std::string_view text, T* out) {
   return ec == std::errc() && ptr == last;
 }
 
-/// The --shard-workers value, stashed by apply_env so the run_sweep wrapper
-/// below can reroute without every bench threading it through.
-inline int& shard_workers() {
-  static int workers = 0;
-  return workers;
+/// Is `name` one of the space-separated words of `list`?
+inline bool listed(std::string_view name, std::string_view list) {
+  const std::string padded = ' ' + std::string(list) + ' ';
+  return !name.empty() && name.find(' ') == std::string_view::npos &&
+         padded.find(' ' + std::string(name) + ' ') != std::string::npos;
+}
+
+/// Does a bench that takes `takes` (beyond kCommonFlags) take `name`?
+inline bool takes_flag(std::string_view name, std::string_view takes) {
+  return listed(name, kCommonFlags) || listed(name, takes);
 }
 
 }  // namespace detail
 
-/// Strict flag parser: unknown flags and malformed values are fatal.
-inline Env parse_env(int argc, char** argv) {
+/// Print `error` (if any) and the usage text for the flags a bench takes,
+/// then exit: 0 for --help, 2 for a usage error.
+[[noreturn]] inline void usage(const char* argv0, std::string_view takes,
+                               const std::string& error) {
+  if (!error.empty()) std::cerr << argv0 << ": " << error << "\n";
+  std::cerr << "usage: " << argv0 << " [flags]\n";
+  for (const auto& f : detail::kFlagHelp) {
+    if (detail::takes_flag(f.name, takes)) std::cerr << f.text;
+  }
+  std::exit(error.empty() ? 0 : 2);
+}
+
+/// Strict flag parser. `takes` lists the flags this bench acts on beyond
+/// kCommonFlags (names without "--", space-separated; kSweepFlags for a
+/// sweep bench). Any other flag, and any malformed value, is fatal.
+inline Env parse_env(int argc, char** argv, std::string_view takes) {
   Env env;
+  const auto fail = [&](const std::string& error) {
+    usage(argv[0], takes, error);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--quick") {
+    if (arg == "--help" || arg == "-h") usage(argv[0], takes, "");
+    // "--trials=3" names the flag "trials"; a word without "--" names none.
+    const std::string name =
+        arg.rfind("--", 0) == 0 ? arg.substr(2, arg.find('=') - 2) : "";
+    if (!detail::takes_flag(name, takes)) {
+      fail("unknown flag '" + arg + "'");
+    } else if (arg == "--quick") {
       env.quick = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0], "");
     } else if (arg.rfind("--trials=", 0) == 0) {
       if (!detail::parse_number(arg.substr(9), &env.trials) ||
           env.trials <= 0) {
-        usage(argv[0], "--trials expects a positive integer, got '" + arg + "'");
+        fail("--trials expects a positive integer, got '" + arg + "'");
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {
       if (!detail::parse_number(arg.substr(7), &env.jobs) || env.jobs < 0) {
-        usage(argv[0], "--jobs expects a non-negative integer, got '" + arg + "'");
+        fail("--jobs expects a non-negative integer, got '" + arg + "'");
       }
     } else if (arg.rfind("--seed=", 0) == 0) {
       if (!detail::parse_number(arg.substr(7), &env.seed)) {
-        usage(argv[0], "--seed expects an unsigned integer, got '" + arg + "'");
+        fail("--seed expects an unsigned integer, got '" + arg + "'");
       }
     } else if (arg.rfind("--procs=", 0) == 0) {
       if (!detail::parse_number(arg.substr(8), &env.procs) || env.procs <= 0) {
-        usage(argv[0], "--procs expects a positive integer, got '" + arg + "'");
+        fail("--procs expects a positive integer, got '" + arg + "'");
       }
     } else if (arg.rfind("--fault=", 0) == 0) {
       env.fault = arg.substr(8);
       try {
         fault::set_plan(fault::parse_fault_plan(env.fault));
       } catch (const std::invalid_argument& e) {
-        usage(argv[0], std::string("--fault: ") + e.what());
+        fail(std::string("--fault: ") + e.what());
       }
     } else if (arg.rfind("--retries=", 0) == 0) {
       if (!detail::parse_number(arg.substr(10), &env.retries) ||
           env.retries < 0) {
-        usage(argv[0],
-              "--retries expects a non-negative integer, got '" + arg + "'");
+        fail("--retries expects a non-negative integer, got '" + arg + "'");
       }
     } else if (arg.rfind("--cell-timeout-ms=", 0) == 0) {
       if (!detail::parse_number(arg.substr(18), &env.cell_timeout_ms) ||
           env.cell_timeout_ms <= 0.0) {
-        usage(argv[0],
-              "--cell-timeout-ms expects a positive number, got '" + arg + "'");
+        fail("--cell-timeout-ms expects a positive number, got '" + arg + "'");
       }
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
       env.checkpoint = arg.substr(13);
       if (env.checkpoint.empty()) {
-        usage(argv[0], "--checkpoint expects a directory path");
+        fail("--checkpoint expects a directory path");
       }
     } else if (arg == "--resume") {
       env.resume = true;
@@ -199,25 +228,18 @@ inline Env parse_env(int argc, char** argv) {
     } else if (arg.rfind("--trace-out=", 0) == 0) {
       env.trace_out = arg.substr(12);
       if (env.trace_out.empty()) {
-        usage(argv[0], "--trace-out expects a file path");
-      }
-    } else if (arg.rfind("--shard-workers=", 0) == 0) {
-      if (!detail::parse_number(arg.substr(16), &env.shard_workers) ||
-          env.shard_workers < 0) {
-        usage(argv[0],
-              "--shard-workers expects a non-negative integer, got '" + arg +
-                  "'");
+        fail("--trace-out expects a file path");
       }
     } else if (arg == "--audit") {
       audit::set_enabled(true);
     } else if (arg == "--race") {
       race::set_enabled(true);
     } else {
-      usage(argv[0], "unknown flag '" + arg + "'");
+      fail("unknown flag '" + arg + "'");
     }
   }
   if (env.resume && env.checkpoint.empty()) {
-    usage(argv[0], "--resume requires --checkpoint=DIR");
+    fail("--resume requires --checkpoint=DIR");
   }
   return env;
 }
@@ -238,27 +260,6 @@ inline void apply_env(SweepSpec& spec, const Env& env,
   spec.checkpoint_dir = env.checkpoint;
   spec.resume = env.resume;
   spec.trace_out = env.trace_out;
-  detail::shard_workers() = env.shard_workers;
-}
-
-/// The bench-facing sweep entry point: exec::run_sweep in-process, or the
-/// supervised multi-process shard runner when --shard-workers=N (N > 1) was
-/// given. Either way the result is byte-identical — that's the shard
-/// layer's merge invariant — so benches call this unconditionally.
-inline exec::SweepResult run_sweep(const SweepSpec& spec) {
-  const int workers = detail::shard_workers();
-  if (workers <= 1) return exec::run_sweep(spec);
-  shard::ShardOptions opts;
-  opts.workers = workers;
-  opts.worker_jobs = spec.jobs;
-  shard::ShardReport rep;
-  exec::SweepResult result = shard::run_sharded_sweep(spec, opts, &rep);
-  std::cerr << spec.experiment << ": sharded across " << rep.workers_requested
-            << " workers — " << rep.workers_spawned << " spawned, "
-            << rep.workers_restarted << " restarted, " << rep.workers_lost
-            << " lost; " << rep.cells_reassigned << " cells reassigned, "
-            << rep.cells_fallback << " run in-process\n";
-  return result;
 }
 
 /// Print everything for one experiment. `scale` converts µs to the unit in

@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, "seed");
   const std::uint64_t seed = env.seed != 0 ? env.seed : 1301;
   auto mx = machines::make_maspar_xnet(seed);
   auto mr = machines::make_machine(

@@ -60,7 +60,7 @@ void scoreboard(const std::string& machine, const bench::Env& env) {
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, "jobs");
   report::banner(std::cout, "EXT: empirical scaling models vs closed forms",
                  "learn::fit recovers every kernel's dominant exponent from "
                  "the paper's formulas; simulated sweeps agree in shape "

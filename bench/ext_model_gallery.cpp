@@ -79,7 +79,7 @@ void gallery(machines::Machine& m, long keys_per_node) {
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, "procs seed");
   report::banner(std::cout, "EXT: five-model prediction gallery",
                  "PRAM underestimates grossly; word-message models "
                  "overestimate block workloads; MP-BPRAM ~ LogGP (footnote 2)");

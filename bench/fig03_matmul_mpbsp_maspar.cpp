@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, bench::kSweepFlags);
   const machines::MachineSpec mspec{.platform = machines::Platform::MasPar,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1103};
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                                        static_cast<long>(n), q);
        }}};
 
-  const auto s = bench::run_sweep(spec);
+  const auto s = exec::run_sweep(spec);
   bench::report(s, 1e-6, false, false, 2);
   return 0;
 }

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, bench::kSweepFlags);
   const machines::MachineSpec mspec{.platform = machines::Platform::MasPar,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1105};
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
            mk;
   }}};
 
-  const auto r = bench::run_sweep(spec);
+  const auto r = exec::run_sweep(spec);
   const auto& s = r.series;
   bench::report(r, 1e-3, false, false, 1);
   const auto err = core::evaluate(s, "MP-BSP");

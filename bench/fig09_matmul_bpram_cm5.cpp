@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, bench::kSweepFlags);
   const machines::MachineSpec mspec{.platform = machines::Platform::CM5,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1109};
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
              m->compute(), static_cast<long>(n), q);
        }}};
 
-  const auto s = bench::run_sweep(spec);
+  const auto s = exec::run_sweep(spec);
   bench::report(s, 1e-3, false, false, 1);
   return 0;
 }

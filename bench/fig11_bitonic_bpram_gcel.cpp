@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, bench::kSweepFlags);
   const machines::MachineSpec mspec{.platform = machines::Platform::GCel,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1111};
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
            mk;
   }}};
 
-  const auto s = bench::run_sweep(spec);
+  const auto s = exec::run_sweep(spec);
   bench::report(s, 1e-3, false, false, 2);
   return 0;
 }

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, bench::kSweepFlags);
   const machines::MachineSpec mspec{.platform = machines::Platform::CM5,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1115};
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     return predict::apsp_bsp(params.bsp, m->compute(), static_cast<long>(n));
   }}};
 
-  const auto s = bench::run_sweep(spec);
+  const auto s = exec::run_sweep(spec);
   bench::report(s, 1e-3, false, false, 1);
   return 0;
 }

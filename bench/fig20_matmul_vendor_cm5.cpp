@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, "procs seed");
   auto m = machines::make_machine({.platform = machines::Platform::CM5,
                                    .procs = env.procs,
                                    .seed = env.seed != 0 ? env.seed : 1120});

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace pcm;
-  const auto env = bench::parse_env(argc, argv);
+  const auto env = bench::parse_env(argc, argv, "procs seed trials");
 
   report::banner(std::cout, "Table 1: model parameters (µs)",
                  "fitted from the simulators vs. the published values");

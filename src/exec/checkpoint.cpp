@@ -129,23 +129,22 @@ std::string render_entry(const JournalEntry& entry, int version) {
   return checksum_hex(fnv1a64(line.str())) + ' ' + line.str();
 }
 
-}  // namespace
+/// What read_journal() found. `entries` is keyed by cell index with
+/// later-duplicates-win semantics (a cell re-run after a partial resume
+/// keeps its newest outcome).
+struct JournalLoad {
+  bool exists = false;          ///< File was present and readable.
+  bool header_matches = false;  ///< First line matched the given header.
+  int version = 0;              ///< 1 or 2; 0 when header_matches is false.
+  std::map<std::size_t, JournalEntry> entries;
+  std::size_t corrupt_lines = 0;  ///< Interior lines skipped as corrupt.
+};
 
-std::string journal_path(const std::string& dir, const std::string& experiment,
-                         const std::string& header) {
-  return (std::filesystem::path(dir) / journal_filename(experiment, header))
-      .string();
-}
-
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
+/// Parse a journal file against the expected identity header. Version is
+/// dispatched from the header line: v1 lines are trusted as before, v2
+/// lines must pass their checksum. A malformed or checksum-failing *final*
+/// line is ignored silently (the torn write of a killed process); any
+/// earlier one counts in corrupt_lines.
 JournalLoad read_journal(const std::string& path, const std::string& header) {
   JournalLoad load;
   std::ifstream in(path);
@@ -182,10 +181,20 @@ JournalLoad read_journal(const std::string& path, const std::string& header) {
   return load;
 }
 
+}  // namespace
+
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 CheckpointJournal::CheckpointJournal(const std::string& dir,
                                      const std::string& experiment,
-                                     const std::string& header, bool resume,
-                                     const std::string& suffix) {
+                                     const std::string& header, bool resume) {
   const std::filesystem::path root(dir);
   std::error_code ec;
   std::filesystem::create_directories(root, ec);
@@ -193,7 +202,7 @@ CheckpointJournal::CheckpointJournal(const std::string& dir,
     throw std::runtime_error("checkpoint: cannot create directory '" + dir +
                              "': " + ec.message());
   }
-  path_ = (root / journal_filename(experiment, header)).string() + suffix;
+  path_ = (root / journal_filename(experiment, header)).string();
 
   if (resume) {
     JournalLoad load = read_journal(path_, header);
@@ -241,10 +250,6 @@ void CheckpointJournal::append(const JournalEntry& entry) {
   const std::string line = render_entry(entry, version_);
   const std::lock_guard<std::mutex> lock(mu_);
   out_ << line << '\n' << std::flush;
-}
-
-std::string CheckpointJournal::shard_path(int shard) const {
-  return path_ + ".shard-" + std::to_string(shard);
 }
 
 }  // namespace pcm::exec

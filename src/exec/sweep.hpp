@@ -49,13 +49,6 @@
 // attempt. With a checkpoint directory configured every finished cell is
 // journalled (crash-safe, append-only), and a killed sweep resumed with
 // resume=true skips journalled cells and reassembles bit-identical output.
-//
-// The per-cell attempt loop (detail::run_cell) and the serial assembly
-// (detail::assemble) are deliberately factored out of run_sweep: the
-// multi-process sharded runner (src/shard/) drives the *same* code from
-// worker processes and from the supervisor's merge step, which is what
-// makes "sharded output == threaded output == serial output" a structural
-// property instead of a parallel-maintenance promise.
 
 namespace pcm::exec {
 
@@ -137,8 +130,8 @@ namespace detail {
 
 /// The identity header a checkpoint journal is keyed on: everything that
 /// changes a cell's outcome. Two sweeps agreeing on this string would write
-/// identical journals cell-for-cell. Deliberately excludes jobs and shard
-/// topology — those change *who* runs a cell, never what it computes.
+/// identical journals cell-for-cell. Deliberately excludes jobs — that
+/// changes *who* runs a cell, never what it computes.
 inline std::string journal_header(const SweepSpec& spec) {
   std::string h = "exp=" + spec.experiment +
                   " machine=" + machines::to_string(spec.machine) +
@@ -175,12 +168,11 @@ inline sim::Rng seed_root(const SweepSpec& spec) {
   return sim::Rng(spec.seed != 0 ? spec.seed : spec.machine.seed);
 }
 
-/// Run one cell's full attempt sequence into `st`. This is THE cell
-/// execution path: run_sweep's thread workers, the shard layer's worker
-/// processes and the supervisor's in-process fallback all funnel through
-/// here, so a cell's outcome is a pure function of (spec, c) no matter
-/// which process computed it. `capture` (nullable) receives the trace spans
-/// when `c == trace_cell` and tracing is requested.
+/// Run one cell's full attempt sequence into `st`. Every thread worker of
+/// run_sweep funnels through here, so a cell's outcome is a pure function
+/// of (spec, c) no matter which worker computed it. `capture` (nullable)
+/// receives the trace spans when `c == trace_cell` and tracing is
+/// requested.
 inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
                      std::size_t c, Watchdog& watchdog, bool tracing,
                      std::size_t trace_cell,
@@ -246,7 +238,7 @@ inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
 }
 
 /// A finished cell as its journal record (the snapshot rides along encoded,
-/// so a resumed or sharded sweep reassembles metrics too).
+/// so a resumed sweep reassembles metrics too).
 inline JournalEntry journal_entry_of(std::size_t c, const CellState& st) {
   return JournalEntry{c,       st.ok,      st.us, st.attempts, st.kind,
                       st.message, obs::encode_metrics_snapshot(st.snapshot)};
@@ -266,9 +258,9 @@ inline CellState state_from_entry(const JournalEntry& e) {
 }
 
 /// Serial, cell-order assembly of the result from a fully populated state
-/// vector: statistics, failure ledger, predictions, metric totals. Shared
-/// verbatim by run_sweep and the shard supervisor's merge, which is the
-/// merge-invariant: identical states in, byte-identical SweepResult out.
+/// vector: statistics, failure ledger, predictions, metric totals.
+/// Identical states in, byte-identical SweepResult out — whether a state
+/// was computed in this run or loaded from a resumed journal.
 inline void assemble(const SweepSpec& spec,
                      const std::vector<CellState>& state, SweepResult* out) {
   core::ValidationSeries& s = out->series;

@@ -114,10 +114,9 @@ struct MetricsSnapshot {
 /// spaces, '=' or ';'), suitable for a checkpoint-journal column: entries
 /// joined by ';', each `name=c:<v>` / `g:<v>` / `h:<count>:<sum>:<max>
 /// [:i.v,...]` with only non-zero histogram buckets listed. Empty snapshot
-/// encodes to "". This is how per-cell metrics cross the process boundary
-/// between shard workers and the supervisor (and survive --resume): a
-/// decoded snapshot compares equal to the original, so merged SweepMetrics
-/// stay bit-identical to an in-process run.
+/// encodes to "". This is how per-cell metrics survive --resume: a decoded
+/// snapshot compares equal to the original, so a resumed sweep's merged
+/// SweepMetrics stay bit-identical to an uninterrupted run.
 [[nodiscard]] std::string encode_metrics_snapshot(const MetricsSnapshot& snap);
 
 /// Inverse of encode_metrics_snapshot. A malformed token decodes to an

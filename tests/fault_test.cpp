@@ -16,6 +16,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "machines/machine.hpp"
+#include "obs/obs.hpp"
 #include "runtime/exchange.hpp"
 #include "sim/rng.hpp"
 
@@ -624,6 +625,77 @@ TEST(Resilience, CheckpointedSweepResumesBitIdentically) {
     EXPECT_EQ(first.series.points[i].measured.median,
               resumed.series.points[i].measured.median);
   }
+}
+
+/// A cheap 12-cell grid with one deterministically poisoned cell, so a
+/// resume has a failure ledger to rebuild. Runs a real barrier, so metric
+/// snapshots are non-trivial when obs is on.
+exec::SweepSpec poisoned_grid_spec() {
+  exec::SweepSpec spec;
+  spec.experiment = "fault-test-grid";
+  spec.x_label = "x";
+  spec.machine = {.platform = machines::Platform::GCel, .procs = 4,
+                  .seed = 99};
+  spec.xs = {1, 2, 3, 4};
+  spec.trials = 3;
+  spec.jobs = 1;
+  spec.measure = [](exec::TrialContext& ctx) {
+    ctx.machine.barrier();
+    if (ctx.x == 2.0 && ctx.trial == 1) {
+      throw std::runtime_error("poisoned cell");
+    }
+    return ctx.x * 10.0 + ctx.trial;
+  };
+  return spec;
+}
+
+TEST(Resilience, ResumeRebuildsLedgerAndMetricsWithoutRerunning) {
+  struct ObsOn {
+    const bool was = obs::enabled();
+    ObsOn() { obs::set_enabled(true); }
+    ~ObsOn() { obs::set_enabled(was); }
+  } obs_on;
+  const std::string dir = testing::TempDir() + "pcm-fault-test-resume-all";
+  std::filesystem::remove_all(dir);
+  auto spec = poisoned_grid_spec();
+  spec.checkpoint_dir = dir;
+  const auto first = exec::run_sweep(spec);
+  ASSERT_EQ(first.failures.size(), 1u);
+  ASSERT_FALSE(first.metrics.empty());
+
+  // Every cell is journalled, so a resume must run measure for none of
+  // them and rebuild the series, the failure ledger and the metrics from
+  // the journal alone.
+  spec.resume = true;
+  spec.measure = [](exec::TrialContext&) -> double {
+    throw std::logic_error("resume should not re-run any cell");
+  };
+  const auto resumed = exec::run_sweep(spec);
+  EXPECT_EQ(resumed.cells_resumed, spec.cell_count());
+  ASSERT_EQ(first.series.points.size(), resumed.series.points.size());
+  for (std::size_t i = 0; i < first.series.points.size(); ++i) {
+    const auto& a = first.series.points[i];
+    const auto& b = resumed.series.points[i];
+    EXPECT_EQ(a.x, b.x);
+    EXPECT_EQ(a.measured.n, b.measured.n);
+    EXPECT_EQ(a.measured.min, b.measured.min);
+    EXPECT_EQ(a.measured.max, b.measured.max);
+    EXPECT_EQ(a.measured.mean, b.measured.mean);
+    EXPECT_EQ(a.measured.stddev, b.measured.stddev);
+    EXPECT_EQ(a.measured.median, b.measured.median);
+  }
+  ASSERT_EQ(first.failures.size(), resumed.failures.size());
+  for (std::size_t i = 0; i < first.failures.size(); ++i) {
+    const auto& a = first.failures[i];
+    const auto& b = resumed.failures[i];
+    EXPECT_EQ(a.cell, b.cell);
+    EXPECT_EQ(a.x, b.x);
+    EXPECT_EQ(a.trial, b.trial);
+    EXPECT_EQ(a.attempts, b.attempts);
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.message, b.message);
+  }
+  EXPECT_EQ(first.metrics, resumed.metrics);
 }
 
 }  // namespace

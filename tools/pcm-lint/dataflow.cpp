@@ -692,8 +692,6 @@ Interval FlowSummaries::returns(const std::string& name) const {
 const char* release_of(const std::string& acquire) {
   if (acquire == "fopen") return "fclose";
   if (acquire == "open") return "close";
-  if (acquire == "pipe") return "close";
-  if (acquire == "fork") return "waitpid";
   if (acquire == "watch") return "unwatch";
   if (acquire == "lock") return "unlock";
   if (acquire == "acquire") return "release";
@@ -703,14 +701,9 @@ const char* release_of(const std::string& acquire) {
 namespace {
 
 bool is_release_name(const std::string& s) {
-  return s == "fclose" || s == "close" || s == "waitpid" || s == "unwatch" ||
-         s == "unlock" || s == "release";
+  return s == "fclose" || s == "close" || s == "unwatch" || s == "unlock" ||
+         s == "release";
 }
-
-/// Acquires that hand the resource back through their first argument instead
-/// of the return value: pipe(fds) fills fds with two descriptors the caller
-/// now owns.
-bool acquires_via_arg(const std::string& s) { return s == "pipe"; }
 
 }  // namespace
 
@@ -783,19 +776,6 @@ ResEnv res_transfer(const sema::TranslationUnit& tu, const Cfg& cfg,
           env[toks[k].text] = ResFact{Res::Acquired, toks[k].line,
                                       toks[c].text + "()"};
         }
-        continue;
-      }
-      // Free-call arg-acquire: pipe(fds) / ::pipe(fds) — ownership lands in
-      // the argument, not the return value.
-      if (k + 2 < rhi && toks[k + 1].kind == Tok::Punct &&
-          toks[k + 1].text == "(" && acquires_via_arg(toks[k].text) &&
-          toks[k + 2].kind == Tok::Ident &&
-          (k == rlo || !(toks[k - 1].kind == Tok::Punct &&
-                         (toks[k - 1].text == "." ||
-                          toks[k - 1].text == "->")))) {
-        env[toks[k + 2].text] = ResFact{Res::Acquired, toks[k].line,
-                                        toks[k].text + "()"};
-        k += 2;
         continue;
       }
       // Free release: fclose(h) / close(h).

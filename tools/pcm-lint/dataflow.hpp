@@ -30,9 +30,8 @@
 //   fixpoint, see FlowSummaries).
 //
 //   Resource — an acquired/released state machine for throw-leak: fopen/
-//   fclose, open/close, pipe/close, fork/waitpid, watch/unwatch,
-//   lock/unlock, acquire/release pairs, tracked per receiver object or per
-//   assigned handle (or, for pipe(), per argument).
+//   fclose, open/close, watch/unwatch, lock/unlock, acquire/release pairs,
+//   tracked per receiver object or per assigned handle.
 
 namespace pcm::lint::flow {
 

@@ -210,8 +210,7 @@ bool has_manual_pair(const sema::TranslationUnit& tu,
   for (std::size_t k = fn.body_begin; k < hi; ++k) {
     if (toks[k].kind == Tok::Ident) names.insert(toks[k].text);
   }
-  for (const char* acq :
-       {"fopen", "open", "pipe", "fork", "watch", "lock", "acquire"}) {
+  for (const char* acq : {"fopen", "open", "watch", "lock", "acquire"}) {
     if (names.count(acq) > 0 && names.count(release_of(acq)) > 0) return true;
   }
   return false;
@@ -303,8 +302,7 @@ std::vector<Diagnostic> run_flow_rules(
   for (std::size_t t = 0; t < tus.size(); ++t) {
     const sema::TranslationUnit& tu = tus[t];
     const bool leak_scope = starts_with(tu.rel_path, "src/exec/") ||
-                            starts_with(tu.rel_path, "src/fault/") ||
-                            starts_with(tu.rel_path, "src/shard/");
+                            starts_with(tu.rel_path, "src/fault/");
     const std::set<std::string> reserved = reserved_receivers(tu);
     for (std::size_t f = 0; f < tu.functions.size(); ++f) {
       const sema::FunctionDef& fn = tu.functions[f];

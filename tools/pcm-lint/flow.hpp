@@ -26,14 +26,13 @@
 //                    is the callgraph's simple-name link — this supersedes
 //                    guessing hotness from the function's own name alone.
 //
-//   throw-leak       in src/exec/, src/fault/ and src/shard/: a resource
-//                    acquired via a tracked pair (fopen/fclose, open/close,
-//                    pipe/close, fork/waitpid, watch/unwatch, lock/unlock,
-//                    acquire/release) still held (Acquired or Maybe) when a
-//                    throw leaves the function. Only fires in functions
-//                    that call *both* sides of a pair somewhere — pure-RAII
-//                    code never calls the release side manually and stays
-//                    silent.
+//   throw-leak       in src/exec/ and src/fault/: a resource acquired via
+//                    a tracked pair (fopen/fclose, open/close,
+//                    watch/unwatch, lock/unlock, acquire/release) still
+//                    held (Acquired or Maybe) when a throw leaves the
+//                    function. Only fires in functions that call *both*
+//                    sides of a pair somewhere — pure-RAII code never calls
+//                    the release side manually and stays silent.
 //
 // All three only claim what the interval/resource domains *prove*: unknown
 // values are top and silent. Diagnostics are unfiltered (the caller applies

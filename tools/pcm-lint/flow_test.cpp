@@ -253,53 +253,6 @@ TEST(FlowRules, ThrowLeakFixReleasesBeforeThrow) {
             std::string::npos);
 }
 
-TEST(FlowRules, PipeHeldAtThrowFiresWithACloseFix) {
-  // pipe() acquires through its argument, not the return value.
-  const auto diags = lint_file("src/shard/x.cpp",
-                               "void f(int* fds) {\n"
-                               "  pipe(fds);\n"
-                               "  if (bad()) {\n"
-                               "    throw Error{};\n"
-                               "  }\n"
-                               "  close(fds);\n"
-                               "}\n");
-  const auto hits = of_rule(diags, "throw-leak");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].line, 4);
-  EXPECT_NE(hits[0].message.find("'fds' acquired via pipe()"),
-            std::string::npos);
-}
-
-TEST(FlowRules, ForkedChildUnreapedAtThrowFires) {
-  const auto diags = lint_file("src/shard/x.cpp",
-                               "void f(int* st) {\n"
-                               "  int pid = fork();\n"
-                               "  if (bad()) {\n"
-                               "    throw Error{};\n"
-                               "  }\n"
-                               "  waitpid(pid, st, 0);\n"
-                               "}\n");
-  const auto hits = of_rule(diags, "throw-leak");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].line, 4);
-}
-
-TEST(FlowRules, ReapedForkAndClosedPipeStaySilent) {
-  const auto diags = lint_file("src/shard/x.cpp",
-                               "void f(int* fds, int* st) {\n"
-                               "  pipe(fds);\n"
-                               "  int pid = fork();\n"
-                               "  if (bad()) {\n"
-                               "    close(fds);\n"
-                               "    waitpid(pid, st, 0);\n"
-                               "    throw Error{};\n"
-                               "  }\n"
-                               "  close(fds);\n"
-                               "  waitpid(pid, st, 0);\n"
-                               "}\n");
-  EXPECT_TRUE(of_rule(diags, "throw-leak").empty());
-}
-
 TEST(FlowRules, HotPathGrowthCarriesAReserveFix) {
   const auto diags = lint_file("src/net/x.cpp",
                                "struct R {\n"
@@ -366,13 +319,10 @@ TEST(FlowFixtureTree, V3RulesFireAndSuppress) {
       has(diags, "src/machines/bad_hot_alloc.cpp", 22, "hot-path-alloc"));
   EXPECT_EQ(of_rule(diags, "hot-path-alloc").size(), 2u);
 
-  // throw-leak: the escaping throw holding the watch, plus the shard
-  // fixture's stranded pipe and unreaped child; the suppressed, the
+  // throw-leak: the escaping throw holding the watch; the suppressed, the
   // release-before-throw and the caught throws pass.
   EXPECT_TRUE(has(diags, "src/fault/bad_throw_leak.cpp", 19, "throw-leak"));
-  EXPECT_TRUE(has(diags, "src/shard/bad_pipe_leak.cpp", 20, "throw-leak"));
-  EXPECT_TRUE(has(diags, "src/shard/bad_pipe_leak.cpp", 29, "throw-leak"));
-  EXPECT_EQ(of_rule(diags, "throw-leak").size(), 3u);
+  EXPECT_EQ(of_rule(diags, "throw-leak").size(), 1u);
 
   // The lexer-coverage fixture is entirely silent.
   for (const auto& d : diags) {

@@ -201,16 +201,15 @@ int layer_of(const std::string& dir) {
   if (dir == "models" || dir == "runtime") return 4;
   if (dir == "algos" || dir == "predict" || dir == "calibrate") return 5;
   if (dir == "vendor" || dir == "exec") return 6;
-  // shard and learn are sibling consumers of the exec engine: shard farms
-  // sweeps out to worker processes, learn fits scaling models to their
-  // results. Nothing below the engine may reach up into either.
-  if (dir == "shard" || dir == "learn") return 7;
+  // learn consumes the exec engine: it fits scaling models to sweep
+  // results. Nothing below the engine may reach up into it.
+  if (dir == "learn") return 7;
   return -1;
 }
 
 constexpr const char* kLayerOrder =
     "sim -> report -> audit/net/race/obs/core/fault -> machines -> "
-    "models/runtime -> algos/predict/calibrate -> vendor/exec -> shard/learn";
+    "models/runtime -> algos/predict/calibrate -> vendor/exec -> learn";
 
 /// A physical-line run spliced at backslash-newlines into one logical line,
 /// remembering where it started so diagnostics land on the directive.

@@ -49,7 +49,7 @@
 //                          sim -> report -> audit/net/race/obs/core/fault ->
 //                          machines -> models/runtime ->
 //                          algos/predict/calibrate -> vendor/exec ->
-//                          shard/learn
+//                          learn
 //                        (report is a leaf presentation layer consumed by
 //                        core, and exec sits on top of the machine layer —
 //                        the map encodes the tree as actually built, not the

@@ -323,7 +323,7 @@ TEST(IncludeLayer, ObsSitsBesideNet) {
                   "src/obs/x.cpp", 1, "include-layer"));
 }
 
-TEST(IncludeLayer, LearnSitsBesideShard) {
+TEST(IncludeLayer, LearnSitsAboveExec) {
   // The empirical learner consumes the exec engine and the predictors
   // beneath it (downward edges)...
   EXPECT_TRUE(of_rule(lint_file("src/learn/x.cpp",

@@ -12,6 +12,7 @@
 #include "net/delta_router.hpp"
 #include "net/fat_tree.hpp"
 #include "net/mesh_router.hpp"
+#include "runtime/exchange.hpp"
 
 namespace {
 
@@ -134,6 +135,31 @@ void BM_MasParSuperstepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_MasParSuperstepLoop)->Arg(1024)->Arg(16384);
+
+/// One MP-BSP word step of bitonic sort through the runtime layer: every PE
+/// sends one key to its bit-flip partner through one reused Exchange, and
+/// every mailbox is consumed. The DeltaRouter memo hits after the first
+/// step, so the time is the runtime payload path (staging, delivery) plus
+/// the memoised route.
+void BM_RuntimeExchangeWord(benchmark::State& state) {
+  const int procs = static_cast<int>(state.range(0));
+  auto m = machines::make_machine(
+      {.platform = machines::Platform::MasPar, .procs = procs, .seed = 9});
+  runtime::Exchange<std::uint32_t> ex(*m, runtime::TransferMode::Word);
+  std::uint32_t sum = 0;
+  for (auto _ : state) {
+    for (int p = 0; p < procs; ++p) {
+      ex.send_value(p, p ^ 8, static_cast<std::uint32_t>(p));
+    }
+    const auto& box = ex.run();
+    for (int p = 0; p < procs; ++p) {
+      for (const auto& parcel : box.at(p)) sum += parcel.data.front();
+    }
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * procs);
+}
+BENCHMARK(BM_RuntimeExchangeWord)->Arg(1024)->Arg(65536);
 
 /// CommPattern construction throughput (the per-superstep staging cost of
 /// the runtime Exchange).

@@ -19,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "runtime/exchange.hpp"
 #include "sim/rng.hpp"
+#include "test_util.hpp"
 
 // pcm::fault: the deterministic fault-injection plane and the resilient
 // sweep machinery built on top of it. The tests pin (a) the FaultPlan spec
@@ -235,6 +236,119 @@ TEST(FaultInjection, ComposesWithAuditConservation) {
     EXPECT_NO_THROW((void)ring_exchange(*m));
   }
   audit::set_enabled(false);
+}
+
+// ------------------------------------------------ pinned faulted delivery
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Every PE sends a 3-word parcel to its successor and a 2-word parcel five
+/// PEs ahead; senders are staged in a scrambled order (p -> 5p + 3 mod P).
+/// Returns the transcript of the delivered mailbox.
+std::string scrambled_exchange(machines::Machine& m,
+                               runtime::TransferMode mode) {
+  const int P = m.procs();
+  runtime::Exchange<std::uint32_t> ex(m, mode);
+  for (int i = 0; i < P; ++i) {
+    const int p = (5 * i + 3) % P;
+    const auto base = static_cast<std::uint32_t>(100 * p);
+    ex.send(p, (p + 1) % P, std::vector<std::uint32_t>{base, base + 1, base + 2},
+            p);
+    ex.send(p, (p + 5) % P, std::vector<std::uint32_t>{base + 10, base + 11},
+            1000 + p);
+  }
+  const auto& box = ex.run();
+  return test::transcript(box);
+}
+
+struct PinnedDelivery {
+  const char* plan;
+  machines::Platform platform;
+  runtime::TransferMode mode;
+  std::size_t parcels;
+  std::size_t corrupted;
+  std::uint64_t digest;  ///< fnv1a of the transcript.
+};
+
+std::size_t count_entries(const std::string& t, char mark) {
+  std::size_t n = 0;
+  for (const char c : t) n += c == mark ? 1 : 0;
+  return n;
+}
+
+// Captured from the exchange's delivered output. However the payload path
+// stores and delivers parcels, what each PE receives must not change.
+constexpr PinnedDelivery kPinned[] = {
+    {"drop:rate=0.5:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Word, 25, 0, 0xe46a60432107025cull},
+    {"drop:rate=0.5:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Block, 12, 0, 0x518f3e86ae46e473ull},
+    {"drop:rate=0.5:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Word, 105, 0, 0xc6fe3ebc0dc4bb8full},
+    {"drop:rate=0.5:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Block, 67, 0, 0x1ee3f69d6f64f7e1ull},
+    {"dup:rate=0.5:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Word, 32, 0, 0xdb468884ce225b01ull},
+    {"dup:rate=0.5:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Block, 52, 0, 0xc1d42525428999b5ull},
+    {"dup:rate=0.5:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Word, 128, 0, 0x36a4da587de40253ull},
+    {"dup:rate=0.5:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Block, 189, 0, 0x8206decf7efc3251ull},
+    {"dead-channel:rate=0.25:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Word, 17, 0, 0x774e42a8bd726196ull},
+    {"dead-channel:rate=0.25:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Block, 17, 0, 0x774e42a8bd726196ull},
+    {"dead-channel:rate=0.25:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Word, 63, 0, 0xd2ba51aa23b371efull},
+    {"dead-channel:rate=0.25:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Block, 63, 0, 0xd2ba51aa23b371efull},
+    {"corrupt:rate=0.5:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Word, 32, 19, 0x60484ec0c8b71d9aull},
+    {"corrupt:rate=0.5:seed=9", machines::Platform::CM5,
+     runtime::TransferMode::Block, 32, 19, 0x60484ec0c8b71d9aull},
+    {"corrupt:rate=0.5:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Word, 128, 64, 0x614e2b682597ebb3ull},
+    {"corrupt:rate=0.5:seed=9", machines::Platform::MasPar,
+     runtime::TransferMode::Block, 128, 64, 0x614e2b682597ebb3ull},
+};
+
+TEST(FaultPinned, DeliveredParcelsMatchThePinnedTranscripts) {
+  for (const auto& pin : kPinned) {
+    SCOPED_TRACE(std::string(pin.plan) + " on " +
+                 std::string(machines::to_string(pin.platform)) +
+                 (pin.mode == runtime::TransferMode::Word ? " word" : " block"));
+    const ScopedPlan plan(pin.plan);
+    auto m = small_machine(pin.platform);
+    const std::string t = scrambled_exchange(*m, pin.mode);
+    EXPECT_EQ(count_entries(t, '<'), pin.parcels);
+    EXPECT_EQ(count_entries(t, '*'), pin.corrupted);
+    EXPECT_EQ(fnv1a(t), pin.digest) << t;
+  }
+}
+
+TEST(FaultPinned, AuditConservesAndDeliversTheSameUnderEveryPlan) {
+  for (const auto& pin : kPinned) {
+    SCOPED_TRACE(std::string(pin.plan) + " on " +
+                 std::string(machines::to_string(pin.platform)) +
+                 (pin.mode == runtime::TransferMode::Word ? " word" : " block"));
+    const ScopedPlan plan(pin.plan);
+    audit::set_enabled(true);
+    const auto before = audit::checks_passed();
+    auto m = small_machine(pin.platform);
+    std::string t;
+    EXPECT_NO_THROW(t = scrambled_exchange(*m, pin.mode));
+    audit::set_enabled(false);
+    EXPECT_GT(audit::checks_passed(), before);
+    EXPECT_EQ(fnv1a(t), pin.digest);
+  }
 }
 
 // ------------------------------------------------------------- determinism

@@ -160,6 +160,54 @@ TEST(Exchange, ReusableAfterRun) {
   EXPECT_EQ(box.count_at(0), 1u);
 }
 
+TEST(Exchange, OutOfOrderSendersKeepStagingOrderPerDestination) {
+  for (const auto mode : {TransferMode::Word, TransferMode::Block}) {
+    auto m = test::small_cm5();
+    Exchange<int> ex(*m, mode);
+    ex.send(5, 2, std::vector<int>{50, 51}, 1);
+    ex.send(1, 2, std::vector<int>{10}, 2);
+    ex.send(3, 0, std::vector<int>{30, 31, 32}, 3);
+    ex.send(1, 0, std::vector<int>{11}, 4);
+    ex.send(5, 2, std::vector<int>{52}, 5);
+    ex.send(0, 2, std::vector<int>{1, 2}, 6);
+    ex.send(3, 7, std::vector<int>{33}, 7);
+    const auto& box = ex.run();
+    EXPECT_EQ(test::transcript(box),
+              "0<3#3[30,31,32,] 0<1#4[11,] 2<5#1[50,51,] 2<1#2[10,] "
+              "2<5#5[52,] 2<0#6[1,2,] 7<3#7[33,] ");
+  }
+}
+
+TEST(Exchange, OneExchangeServesThreeDifferentPatterns) {
+  auto m = test::small_cm5();
+  Exchange<int> ex(*m, TransferMode::Word);
+  std::vector<std::string> seen;
+  for (int p = 0; p < 4; ++p) ex.send_value(p, (p + 1) % 4, 10 + p, p);
+  {
+    const auto& box = ex.run();
+    seen.push_back(test::transcript(box));
+  }
+  for (int p = 15; p >= 12; --p) {
+    ex.send(p, 3, std::vector<int>{p, -p}, 100 + p);
+  }
+  {
+    const auto& box = ex.run();
+    seen.push_back(test::transcript(box));
+  }
+  ex.send(9, 4, std::vector<int>{7, 8, 9}, 9);
+  ex.send_value(2, 4, 4);
+  {
+    const auto& box = ex.run();
+    seen.push_back(test::transcript(box));
+  }
+  EXPECT_EQ(seen[0], "0<3#3[13,] 1<0#0[10,] 2<1#1[11,] 3<2#2[12,] ");
+  EXPECT_EQ(seen[1],
+            "3<15#115[15,-15,] 3<14#114[14,-14,] 3<13#113[13,-13,] "
+            "3<12#112[12,-12,] ");
+  EXPECT_EQ(seen[2], "4<9#9[7,8,9,] 4<2#0[4,] ");
+  EXPECT_EQ(ex.staged_messages(), 0u);
+}
+
 TEST(Exchange, SendValueHelper) {
   auto m = test::small_cm5();
   Exchange<float> ex(*m, TransferMode::Word);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "machines/machine.hpp"
@@ -41,6 +42,23 @@ std::vector<T> random_matrix(int n, std::uint64_t seed = 7) {
   std::vector<T> m(static_cast<std::size_t>(n) * n);
   for (auto& v : m) v = static_cast<T>(rng.next_double() * 2.0 - 1.0);
   return m;
+}
+
+/// Every PE's delivered parcels as "dst<src#tag[data]" entries (a trailing
+/// '*' marks a corrupted parcel), destinations ascending, each
+/// destination's parcels in delivery order.
+template <typename Box>
+std::string transcript(const Box& box) {
+  std::string out;
+  for (int p = 0; p < box.procs(); ++p) {
+    for (const auto& parcel : box.at(p)) {
+      out += std::to_string(p) + "<" + std::to_string(parcel.src) + "#" +
+             std::to_string(parcel.tag) + "[";
+      for (const auto v : parcel.data) out += std::to_string(v) + ",";
+      out += parcel.corrupted ? "]* " : "] ";
+    }
+  }
+  return out;
 }
 
 template <typename T>

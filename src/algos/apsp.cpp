@@ -35,7 +35,8 @@ int ilog2(int v) {
 // (plus the doubling pre-phase when M < group size).
 class GroupBroadcast {
  public:
-  GroupBroadcast(machines::Machine& m, ApspVariant v) : m_(m), v_(v) {}
+  GroupBroadcast(machines::Machine& m, ApspVariant v)
+      : m_(m), v_(v), ex_(m, runtime::TransferMode::Word) {}
 
   std::vector<std::vector<float>> run(
       const std::vector<std::vector<int>>& groups,
@@ -71,7 +72,6 @@ class GroupBroadcast {
     const long cs = M / gsize;  // chunk size (M % gsize folded into last)
     if (v_ == ApspVariant::MpBsp) {
       for (long e = 0; e < M; ++e) {
-        runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
         for (std::size_t g = 0; g < groups.size(); ++g) {
           const int src = groups[g][static_cast<std::size_t>(src_of[g])];
           const int member = static_cast<int>(std::min<long>(e / cs, gsize - 1));
@@ -80,13 +80,12 @@ class GroupBroadcast {
           if (dst == src) {
             out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)] = val;
           } else {
-            ex.send_value(src, dst, val, static_cast<int>(e));
+            ex_.send_value(src, dst, val, static_cast<int>(e));
           }
         }
-        deliver(ex);
+        deliver();
       }
     } else {
-      runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
       for (std::size_t g = 0; g < groups.size(); ++g) {
         const int src = groups[g][static_cast<std::size_t>(src_of[g])];
         for (int x = 0; x < gsize; ++x) {
@@ -100,13 +99,13 @@ class GroupBroadcast {
             }
           } else {
             for (long e = lo; e < hi; ++e) {
-              ex.send_value(src, dst, seg[g][static_cast<std::size_t>(e)],
-                            static_cast<int>(e));
+              ex_.send_value(src, dst, seg[g][static_cast<std::size_t>(e)],
+                             static_cast<int>(e));
             }
           }
         }
       }
-      deliver(ex);
+      deliver();
       m_.barrier();
     }
   }
@@ -118,27 +117,24 @@ class GroupBroadcast {
     if (v_ == ApspVariant::MpBsp) {
       for (int d = 1; d < gsize; ++d) {
         for (long e2 = 0; e2 < cs; ++e2) {
-          runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
-          stage_allgather(ex, groups, M, gsize, d, e2, cs, /*last_extra=*/false);
-          deliver(ex);
+          stage_allgather(groups, M, gsize, d, e2, cs, /*last_extra=*/false);
+          deliver();
         }
       }
       // Remainder elements of the last chunk (when gsize does not divide M).
       for (long e = cs * gsize; e < M; ++e) {
         for (int d = 1; d < gsize; ++d) {
-          runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
           for (std::size_t g = 0; g < groups.size(); ++g) {
             const int src = groups[g][static_cast<std::size_t>(gsize - 1)];
             const int dst = groups[g][static_cast<std::size_t>((gsize - 1 + d) % gsize)];
-            ex.send_value(src, dst,
-                          out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
-                          static_cast<int>(e));
+            ex_.send_value(src, dst,
+                           out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
+                           static_cast<int>(e));
           }
-          deliver(ex);
+          deliver();
         }
       }
     } else {
-      runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
       for (std::size_t g = 0; g < groups.size(); ++g) {
         for (int x = 0; x < gsize; ++x) {
           const int src = groups[g][static_cast<std::size_t>(x)];
@@ -147,20 +143,19 @@ class GroupBroadcast {
           for (int d = 1; d < gsize; ++d) {
             const int dst = groups[g][static_cast<std::size_t>((x + d) % gsize)];
             for (long e = lo; e < hi; ++e) {
-              ex.send_value(src, dst,
-                            out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
-                            static_cast<int>(e));
+              ex_.send_value(src, dst,
+                             out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
+                             static_cast<int>(e));
             }
           }
         }
       }
-      deliver(ex);
+      deliver();
       m_.barrier();
     }
   }
 
-  void stage_allgather(runtime::Exchange<float>& ex,
-                       const std::vector<std::vector<int>>& groups, long M,
+  void stage_allgather(const std::vector<std::vector<int>>& groups, long M,
                        int gsize, int d, long e2, long cs, bool last_extra) {
     (void)M;
     (void)last_extra;
@@ -169,9 +164,9 @@ class GroupBroadcast {
         const int src = groups[g][static_cast<std::size_t>(x)];
         const int dst = groups[g][static_cast<std::size_t>((x + d) % gsize)];
         const long e = x * cs + e2;
-        ex.send_value(src, dst,
-                      out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
-                      static_cast<int>(e));
+        ex_.send_value(src, dst,
+                       out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
+                       static_cast<int>(e));
       }
     }
   }
@@ -182,7 +177,6 @@ class GroupBroadcast {
                      const std::vector<std::vector<float>>& seg, long M) {
     if (v_ == ApspVariant::MpBsp) {
       for (long e = 0; e < M; ++e) {
-        runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
         for (std::size_t g = 0; g < groups.size(); ++g) {
           const int src = groups[g][static_cast<std::size_t>(src_of[g])];
           const int dst = groups[g][static_cast<std::size_t>(e)];
@@ -190,13 +184,12 @@ class GroupBroadcast {
           if (dst == src) {
             out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)] = val;
           } else {
-            ex.send_value(src, dst, val, static_cast<int>(e));
+            ex_.send_value(src, dst, val, static_cast<int>(e));
           }
         }
-        deliver(ex);
+        deliver();
       }
     } else {
-      runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
       for (std::size_t g = 0; g < groups.size(); ++g) {
         const int src = groups[g][static_cast<std::size_t>(src_of[g])];
         for (long e = 0; e < M; ++e) {
@@ -205,12 +198,12 @@ class GroupBroadcast {
             out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)] =
                 seg[g][static_cast<std::size_t>(e)];
           } else {
-            ex.send_value(src, dst, seg[g][static_cast<std::size_t>(e)],
-                          static_cast<int>(e));
+            ex_.send_value(src, dst, seg[g][static_cast<std::size_t>(e)],
+                           static_cast<int>(e));
           }
         }
       }
-      deliver(ex);
+      deliver();
       m_.barrier();
     }
   }
@@ -222,18 +215,17 @@ class GroupBroadcast {
     const int rounds = ilog2(gsize / static_cast<int>(M));
     for (int i = 0; i < rounds; ++i) {
       const long holders = M << i;
-      runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
       for (std::size_t g = 0; g < groups.size(); ++g) {
         for (long x = 0; x < holders; ++x) {
           const int src = groups[g][static_cast<std::size_t>(x)];
           const int dst = groups[g][static_cast<std::size_t>(x + holders)];
           const long e = x % M;
-          ex.send_value(src, dst,
-                        out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
-                        static_cast<int>(e));
+          ex_.send_value(src, dst,
+                         out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
+                         static_cast<int>(e));
         }
       }
-      deliver(ex);
+      deliver();
       if (v_ == ApspVariant::Bsp) m_.barrier();
     }
   }
@@ -243,20 +235,17 @@ class GroupBroadcast {
     const int Mi = static_cast<int>(M);
     if (v_ == ApspVariant::MpBsp) {
       for (int d = 1; d < Mi; ++d) {
-        runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
-        stage_subgroup(ex, groups, Mi, d);
-        deliver(ex);
+        stage_subgroup(groups, Mi, d);
+        deliver();
       }
     } else {
-      runtime::Exchange<float> ex(m_, runtime::TransferMode::Word);
-      for (int d = 1; d < Mi; ++d) stage_subgroup(ex, groups, Mi, d);
-      deliver(ex);
+      for (int d = 1; d < Mi; ++d) stage_subgroup(groups, Mi, d);
+      deliver();
       m_.barrier();
     }
   }
 
-  void stage_subgroup(runtime::Exchange<float>& ex,
-                      const std::vector<std::vector<int>>& groups, int Mi,
+  void stage_subgroup(const std::vector<std::vector<int>>& groups, int Mi,
                       int d) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const int gsize = static_cast<int>(groups[g].size());
@@ -266,15 +255,15 @@ class GroupBroadcast {
         const int src = groups[g][static_cast<std::size_t>(x)];
         const int dst = groups[g][static_cast<std::size_t>(peer)];
         const long e = x % Mi;
-        ex.send_value(src, dst,
-                      out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
-                      static_cast<int>(e));
+        ex_.send_value(src, dst,
+                       out_[static_cast<std::size_t>(src)][static_cast<std::size_t>(e)],
+                       static_cast<int>(e));
       }
     }
   }
 
-  void deliver(runtime::Exchange<float>& ex) {
-    auto box = ex.run();
+  void deliver() {
+    const auto& box = ex_.run();
     for (int p = 0; p < m_.procs(); ++p) {
       auto& dstv = out_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) {
@@ -286,6 +275,8 @@ class GroupBroadcast {
   machines::Machine& m_;
   ApspVariant v_;
   std::vector<std::vector<float>> out_;
+  /// One Exchange serves every broadcast step of the run.
+  runtime::Exchange<float> ex_;
 };
 
 }  // namespace

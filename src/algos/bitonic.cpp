@@ -52,18 +52,21 @@ void bitonic_core(machines::Machine& m,
   long sent_since_barrier = 0;
   std::vector<std::vector<std::uint32_t>> partner_buf(
       static_cast<std::size_t>(P));
+  // One Exchange serves every communication step of the sort.
+  runtime::Exchange<std::uint32_t> ex(
+      m, v == BitonicVariant::Bpram ? runtime::TransferMode::Block
+                                    : runtime::TransferMode::Word);
 
   auto merge_step = [&](int bit) {
     if (v == BitonicVariant::MpBsp) {
       // One key per PE per communication step: M bit-flip permutations.
       for (long e = 0; e < M; ++e) {
-        runtime::Exchange<std::uint32_t> ex(m, runtime::TransferMode::Word);
         for (int p = 0; p < P; ++p) {
           ex.send_value(p, p ^ (1 << bit),
                         runs[static_cast<std::size_t>(p)][static_cast<std::size_t>(e)],
                         static_cast<int>(e));
         }
-        auto box = ex.run();
+        const auto& box = ex.run();
         for (int p = 0; p < P; ++p) {
           auto& incoming = partner_buf[static_cast<std::size_t>(p)];
           for (const auto& parcel : box.at(p)) {
@@ -76,7 +79,6 @@ void bitonic_core(machines::Machine& m,
       // messages — i.e. the M-message stream is chunked *within* the step.
       for (long lo = 0; lo < M; lo += 256) {
         const long hi = std::min<long>(M, lo + 256);
-        runtime::Exchange<std::uint32_t> ex(m, runtime::TransferMode::Word);
         for (int p = 0; p < P; ++p) {
           const auto& run = runs[static_cast<std::size_t>(p)];
           ex.send(p, p ^ (1 << bit),
@@ -84,7 +86,7 @@ void bitonic_core(machines::Machine& m,
                                                  static_cast<std::size_t>(hi - lo)),
                   static_cast<int>(lo));
         }
-        auto box = ex.run();
+        const auto& box = ex.run();
         for (int p = 0; p < P; ++p) {
           auto& incoming = partner_buf[static_cast<std::size_t>(p)];
           for (const auto& parcel : box.at(p)) {
@@ -99,15 +101,10 @@ void bitonic_core(machines::Machine& m,
         }
       }
     } else {
-      const auto mode = (v == BitonicVariant::Bpram)
-                            ? runtime::TransferMode::Block
-                            : runtime::TransferMode::Word;
-      runtime::Exchange<std::uint32_t> ex(m, mode);
       for (int p = 0; p < P; ++p) {
-        ex.send(p, p ^ (1 << bit),
-                std::span<const std::uint32_t>(runs[static_cast<std::size_t>(p)]));
+        ex.send(p, p ^ (1 << bit), runs[static_cast<std::size_t>(p)]);
       }
-      auto box = ex.run();
+      const auto& box = ex.run();
       for (int p = 0; p < P; ++p) {
         const auto parcels = box.at(p);
         // The whole partner run travels as one parcel; under a data-loss
@@ -119,7 +116,8 @@ void bitonic_core(machines::Machine& m,
               " never received its partner run — parcel lost (data-loss "
               "fault?)");
         }
-        partner_buf[static_cast<std::size_t>(p)] = parcels.front().data;
+        partner_buf[static_cast<std::size_t>(p)].assign(
+            parcels.front().data.begin(), parcels.front().data.end());
       }
       if (v == BitonicVariant::Bpram) {
         m.barrier();  // The MP-BPRAM step is synchronous by definition.
@@ -129,8 +127,9 @@ void bitonic_core(machines::Machine& m,
 
   for (int d = 1; d <= logp; ++d) {
     for (int j = d - 1; j >= 0; --j) {
-      partner_buf.assign(static_cast<std::size_t>(P),
-                         std::vector<std::uint32_t>(static_cast<std::size_t>(M)));
+      // Zero every partner run in place (a key lost to a fault plan reads
+      // as 0); the capacity is reused across merge steps.
+      for (auto& buf : partner_buf) buf.assign(static_cast<std::size_t>(M), 0u);
       merge_step(j);
       for (int p = 0; p < P; ++p) {
         const int partner = p ^ (1 << j);

@@ -46,7 +46,12 @@ class MatmulRun {
  public:
   MatmulRun(machines::Machine& m, const std::vector<T>& a,
             const std::vector<T>& b, int n, MatmulVariant v)
-      : m_(m), grid_(runtime::Grid3::fit(m.procs())), n_(n), v_(v) {
+      : m_(m),
+        grid_(runtime::Grid3::fit(m.procs())),
+        n_(n),
+        v_(v),
+        ex_(m, v == MatmulVariant::Bpram ? runtime::TransferMode::Block
+                                         : runtime::TransferMode::Word) {
     q_ = grid_.q;
     bs_ = n_ / q_;        // block size N/q
     ps_ = n_ / (q_ * q_); // piece rows N/q^2
@@ -93,10 +98,10 @@ class MatmulRun {
   }
 
   // Install an N/q^2-row piece into a full N/q x N/q block at row-slot `slot`.
-  void install(std::vector<T>& full, int slot, const std::vector<T>& piece) {
+  void install(std::vector<T>& full, int slot, std::span<const T> piece) {
     if (full.empty()) full.assign(static_cast<std::size_t>(bs_) * bs_, T{});
     std::memcpy(&full[static_cast<std::size_t>(slot) * ps_ * bs_], piece.data(),
-                sizeof(T) * piece.size());
+                piece.size_bytes());
   }
 
   // ---- superstep 1: replicate A within <i,j,*>, B to <*,i,j> -------------
@@ -106,39 +111,34 @@ class MatmulRun {
       replicate_mp_bsp();
       return;
     }
-    const auto mode = (v_ == MatmulVariant::Bpram) ? runtime::TransferMode::Block
-                                                   : runtime::TransferMode::Word;
     if (v_ == MatmulVariant::Bpram) {
       // Single-port permutation steps: one block per processor per step.
       for (int d = 1; d < q_; ++d) {  // A to <i,j,(k+d)%q>
-        runtime::Exchange<T> ex(m_, mode);
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
-          ex.send(rank(i, j, k), rank(i, j, (k + d) % q_), loc.a_piece, k);
+          ex_.send(rank(i, j, k), rank(i, j, (k + d) % q_), loc.a_piece, k);
         });
-        deliver_a(ex);
+        deliver_a();
         m_.barrier();
       }
       for (int d = 0; d < q_; ++d) {  // B^k_ij to <(k+d)%q, i, j>
-        runtime::Exchange<T> ex(m_, mode);
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
           const int dst = rank((k + d) % q_, i, j);
           if (dst == rank(i, j, k)) {
             ensure_b(loc);
             install(loc.b_full, k, loc.b_piece);
           } else {
-            ex.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
+            ex_.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
           }
         });
-        deliver_b(ex);
+        deliver_b();
         m_.barrier();
       }
     } else {
       // One pipelined word superstep carrying both replications.
-      runtime::Exchange<T> ex(m_, mode);
       for_each_proc([&](int i, int j, int k, Local<T>& loc) {
         for (int d = 1; d < q_; ++d) {
           const int kk = stag ? (k + d) % q_ : d - 1 + (d - 1 >= k ? 1 : 0);
-          ex.send(rank(i, j, k), rank(i, j, kk), loc.a_piece, k);
+          ex_.send(rank(i, j, k), rank(i, j, kk), loc.a_piece, k);
         }
         for (int d = 0; d < q_; ++d) {
           const int ii = stag ? (k + d) % q_ : d;
@@ -147,12 +147,11 @@ class MatmulRun {
             ensure_b(loc);
             install(loc.b_full, k, loc.b_piece);
           } else {
-            ex.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
+            ex_.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
           }
         }
       });
-      auto box = ex.run();
-      consume(box);
+      consume(ex_.run());
       m_.barrier();
     }
     // Everyone installs its own A piece locally (free).
@@ -166,18 +165,16 @@ class MatmulRun {
     const long elems = piece_elems();
     for (int d = 1; d < q_; ++d) {
       for (long e = 0; e < elems; ++e) {
-        runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
-          ex.send_value(rank(i, j, k), rank(i, j, (k + d) % q_),
+          ex_.send_value(rank(i, j, k), rank(i, j, (k + d) % q_),
                         loc.a_piece[static_cast<std::size_t>(e)],
                         tag2(k, static_cast<int>(e)));
         });
-        deliver_a_elems(ex);
+        deliver_a_elems();
       }
     }
     for (int d = 0; d < q_; ++d) {
       for (long e = 0; e < elems; ++e) {
-        runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
           const int dst = rank((k + d) % q_, i, j);
           if (dst == rank(i, j, k)) {
@@ -185,12 +182,12 @@ class MatmulRun {
             loc.b_full[static_cast<std::size_t>(k) * elems + static_cast<std::size_t>(e)] =
                 loc.b_piece[static_cast<std::size_t>(e)];
           } else {
-            ex.send_value(rank(i, j, k), dst,
-                          loc.b_piece[static_cast<std::size_t>(e)],
-                          tag2(k, static_cast<int>(e)));
+            ex_.send_value(rank(i, j, k), dst,
+                           loc.b_piece[static_cast<std::size_t>(e)],
+                           tag2(k, static_cast<int>(e)));
           }
         });
-        deliver_b_elems(ex);
+        deliver_b_elems();
       }
     }
     for_each_proc([&](int, int, int k, Local<T>& loc) {
@@ -234,7 +231,6 @@ class MatmulRun {
       const long elems = piece_elems();
       for (int d = 0; d < q_; ++d) {
         for (long e = 0; e < elems; ++e) {
-          runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
           for_each_proc([&](int i, int j, int k, Local<T>& loc) {
             const int l = (j + d) % q_;
             const int dst = rank(i, k, l);
@@ -242,11 +238,11 @@ class MatmulRun {
             if (dst == rank(i, j, k)) {
               accumulate_c(loc, static_cast<int>(e), val);
             } else {
-              ex.send_value(rank(i, j, k), dst, static_cast<T>(val),
-                            static_cast<int>(e));
+              ex_.send_value(rank(i, j, k), dst, static_cast<T>(val),
+                             static_cast<int>(e));
             }
           });
-          auto box = ex.run();
+          const auto& box = ex_.run();
           for (int p = 0; p < grid_.procs(); ++p) {
             auto& loc = local_[static_cast<std::size_t>(p)];
             for (const auto& parcel : box.at(p)) {
@@ -260,23 +256,21 @@ class MatmulRun {
     }
     if (v_ == MatmulVariant::Bpram) {
       for (int d = 0; d < q_; ++d) {
-        runtime::Exchange<T> ex(m_, runtime::TransferMode::Block);
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
           const int l = (j + d) % q_;
           const int dst = rank(i, k, l);
           if (dst == rank(i, j, k)) {
             accumulate_piece(loc, piece_of(loc, l));
           } else {
-            ex.send(rank(i, j, k), dst, piece_of(loc, l));
+            ex_.send(rank(i, j, k), dst, piece_of(loc, l));
           }
         });
-        deliver_c(ex);
+        deliver_c();
         m_.barrier();
       }
       return;
     }
     // BSP word superstep.
-    runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
     for_each_proc([&](int i, int j, int k, Local<T>& loc) {
       for (int d = 0; d < q_; ++d) {
         const int l = stag ? (j + d) % q_ : d;
@@ -284,11 +278,11 @@ class MatmulRun {
         if (dst == rank(i, j, k)) {
           accumulate_piece(loc, piece_of(loc, l));
         } else {
-          ex.send(rank(i, j, k), dst, piece_of(loc, l));
+          ex_.send(rank(i, j, k), dst, piece_of(loc, l));
         }
       }
     });
-    deliver_c(ex);
+    deliver_c();
     m_.barrier();
   }
 
@@ -328,7 +322,7 @@ class MatmulRun {
       loc.b_full.assign(static_cast<std::size_t>(bs_) * bs_, T{});
   }
 
-  void consume(runtime::Mailbox<T>& box) {
+  void consume(const runtime::Mailbox<T>& box) {
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) {
@@ -341,22 +335,22 @@ class MatmulRun {
           std::memcpy(
               &loc.b_full[static_cast<std::size_t>(parcel.tag - kBTagBase) *
                           ps_ * bs_],
-              parcel.data.data(), sizeof(T) * parcel.data.size());
+              parcel.data.data(), parcel.data.size_bytes());
         }
       }
     }
   }
 
-  void deliver_a(runtime::Exchange<T>& ex) {
-    auto box = ex.run();
+  void deliver_a() {
+    const auto& box = ex_.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) install(loc.a_full, parcel.tag, parcel.data);
     }
   }
 
-  void deliver_b(runtime::Exchange<T>& ex) {
-    auto box = ex.run();
+  void deliver_b() {
+    const auto& box = ex_.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) {
@@ -364,13 +358,13 @@ class MatmulRun {
         std::memcpy(
             &loc.b_full[static_cast<std::size_t>(parcel.tag - kBTagBase) * ps_ *
                         bs_],
-            parcel.data.data(), sizeof(T) * parcel.data.size());
+            parcel.data.data(), parcel.data.size_bytes());
       }
     }
   }
 
-  void deliver_a_elems(runtime::Exchange<T>& ex) {
-    auto box = ex.run();
+  void deliver_a_elems() {
+    const auto& box = ex_.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       if (loc.a_full.empty())
@@ -384,8 +378,8 @@ class MatmulRun {
     }
   }
 
-  void deliver_b_elems(runtime::Exchange<T>& ex) {
-    auto box = ex.run();
+  void deliver_b_elems() {
+    const auto& box = ex_.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       ensure_b(loc);
@@ -413,8 +407,8 @@ class MatmulRun {
     for (std::size_t e = 0; e < piece.size(); ++e) loc.c_piece[e] += piece[e];
   }
 
-  void deliver_c(runtime::Exchange<T>& ex) {
-    auto box = ex.run();
+  void deliver_c() {
+    const auto& box = ex_.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) {
@@ -452,6 +446,8 @@ class MatmulRun {
   int bs_ = 0;
   int ps_ = 0;
   std::vector<Local<T>> local_;
+  /// One Exchange serves every communication step of the run.
+  runtime::Exchange<T> ex_;
 };
 
 }  // namespace

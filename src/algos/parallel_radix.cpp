@@ -30,6 +30,10 @@ ParallelRadixResult run_parallel_radix(machines::Machine& m,
 
   m.reset();
   auto runs = runtime::block_scatter(keys, P);
+  // One Exchange for the ranking steps, one for the key routing, both
+  // reused by every digit pass.
+  runtime::Exchange<long> rank_ex(m, runtime::TransferMode::Block);
+  runtime::Exchange<std::uint32_t> key_ex(m, runtime::TransferMode::Block);
 
   for (int shift = 0; shift < 32; shift += radix_bits) {
     // --- 1. local histograms -------------------------------------------
@@ -48,7 +52,6 @@ ParallelRadixResult run_parallel_radix(machines::Machine& m,
     // --- 2. global ranking ----------------------------------------------
     // Transpose histogram columns to their digit owners (block sends,
     // staggered destination order).
-    runtime::Exchange<long> ex1(m, runtime::TransferMode::Block);
     const int per_owner = std::max(1, radix / P);
     for (int p = 0; p < P; ++p) {
       for (int d = 0; d < P; ++d) {
@@ -60,10 +63,10 @@ ParallelRadixResult run_parallel_radix(machines::Machine& m,
           }
         }
         if (q == p || seg.empty()) continue;
-        ex1.send(p, q, std::move(seg), p);
+        rank_ex.send(p, q, seg, p);
       }
     }
-    auto box1 = ex1.run();
+    const auto& box1 = rank_ex.run();
     m.barrier();
 
     // Owner q: per-processor offsets within each owned digit + digit totals.
@@ -101,7 +104,6 @@ ParallelRadixResult run_parallel_radix(machines::Machine& m,
     // Owners send every processor one combined message: the owned digits'
     // totals plus that processor's per-digit starting offsets (prefix over
     // processors) — one all-to-all instead of two.
-    runtime::Exchange<long> ex2(m, runtime::TransferMode::Block);
     for (int q = 0; q < P; ++q) {
       const auto& counts = owned[static_cast<std::size_t>(q)];
       for (int d = 0; d < P; ++d) {
@@ -114,11 +116,11 @@ ParallelRadixResult run_parallel_radix(machines::Machine& m,
           }
           payload.push_back(acc);
         }
-        ex2.send(q, p, std::move(payload), q);  // self-delivery included
+        rank_ex.send(q, p, payload, q);  // self-delivery included
       }
       m.charge(q, lc.ops_time(static_cast<long>(per_owner) * P));
     }
-    auto box2 = ex2.run();
+    const auto& box2 = rank_ex.run();
     m.barrier();
 
     std::vector<std::vector<long>> digit_total(static_cast<std::size_t>(P));
@@ -144,7 +146,6 @@ ParallelRadixResult run_parallel_radix(machines::Machine& m,
     // --- 3. route keys to their global ranks -----------------------------
     // Global base of digit v = sum of totals of smaller digits.
     // Key position = base[v] + my_digit_offset[p][v] + (stable index).
-    runtime::Exchange<std::uint32_t> ex4(m, runtime::TransferMode::Block);
     std::vector<std::vector<std::uint32_t>> next(static_cast<std::size_t>(P));
     for (auto& r : next) r.assign(static_cast<std::size_t>(M), 0);
     runtime::BlockDist dist{static_cast<long>(keys.size()), P};
@@ -221,10 +222,10 @@ ParallelRadixResult run_parallel_radix(machines::Machine& m,
         payload.insert(payload.end(), h.begin(), h.end());
         payload.insert(payload.end(), agg[static_cast<std::size_t>(dst)].begin(),
                        agg[static_cast<std::size_t>(dst)].end());
-        ex4.send(p, dst, std::move(payload));
+        key_ex.send(p, dst, payload);
       }
     }
-    auto box4 = ex4.run();
+    const auto& box4 = key_ex.run();
     m.barrier();
     for (int p = 0; p < P; ++p) {
       const long lo = dist.range_of(p).first;

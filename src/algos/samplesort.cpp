@@ -51,6 +51,7 @@ std::vector<std::vector<std::uint32_t>> route_bpram(
     for (std::size_t i = 0; i < keys.size(); ++i) v.push_back({keys[i], buckets[i]});
   }
 
+  runtime::Exchange<std::uint32_t> ex(m, runtime::TransferMode::Block);
   auto phase = [&](bool column_phase) {
     // Nominally 2 rounds of sqrt(P)-1 staggered steps (the fixed-size block
     // scheme of [14]); extra rounds only if pathological skew overflows the
@@ -58,7 +59,6 @@ std::vector<std::vector<std::uint32_t>> route_bpram(
     for (int round = 0; round < 8; ++round) {
       bool pending = false;
       for (int t = 1; t < s; ++t) {
-        runtime::Exchange<std::uint32_t> ex(m, runtime::TransferMode::Block);
         // Each proc picks up to `cap` items whose target lane matches the
         // staggered destination of this step.
         std::vector<std::vector<Item>> in_flight(static_cast<std::size_t>(P));
@@ -86,9 +86,9 @@ std::vector<std::vector<std::uint32_t>> route_bpram(
           // Fixed-size scheme: pad to capacity (the single-port routing of
           // [14] ships full blocks; tag carries the real count).
           payload.resize(static_cast<std::size_t>(cap), 0);
-          ex.send(p, dst, std::move(payload), count);
+          ex.send(p, dst, payload, count);
         }
-        auto box = ex.run();
+        const auto& box = ex.run();
         for (int p = 0; p < P; ++p) {
           for (const auto& parcel : box.at(p)) {
             const int count = parcel.tag;
@@ -152,11 +152,11 @@ std::vector<std::vector<std::uint32_t>> route_staggered(
         auto& own = buckets[static_cast<std::size_t>(p)];
         own.insert(own.end(), pack.begin(), pack.end());
       } else {
-        ex.send(p, b, std::move(pack));
+        ex.send(p, b, pack);
       }
     }
   }
-  auto box = ex.run();
+  const auto& box = ex.run();
   m.barrier();
   for (int p = 0; p < P; ++p) {
     for (const auto& parcel : box.at(p)) {

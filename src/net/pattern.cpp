@@ -19,7 +19,10 @@ void CommPattern::add(int src, int dst, int bytes) {
   if (!stage_.empty() && src < stage_.back().src) stage_sorted_ = false;
   stage_.push_back(Message{src, dst, bytes});
   if (send_count_[static_cast<std::size_t>(src)]++ == 0) senders_.push_back(src);
-  if (recv_count_[static_cast<std::size_t>(dst)]++ == 0) receivers_.push_back(dst);
+  if (recv_count_[static_cast<std::size_t>(dst)]++ == 0) {
+    if (!receivers_.empty() && dst < receivers_.back()) receivers_sorted_ = false;
+    receivers_.push_back(dst);
+  }
   total_bytes_ += bytes;
   canonical_ready_ = false;
 }
@@ -35,8 +38,8 @@ void CommPattern::reserve(std::size_t expected_messages) {
 
 void CommPattern::ensure_canonical() const {
   if (canonical_ready_) return;
-  std::sort(senders_.begin(), senders_.end());
-  std::sort(receivers_.begin(), receivers_.end());
+  // Senders first touched in non-decreasing order are already ascending.
+  if (!stage_sorted_) std::sort(senders_.begin(), senders_.end());
   if (begin_of_.size() < static_cast<std::size_t>(procs_)) {
     begin_of_.resize(static_cast<std::size_t>(procs_));
   }
@@ -84,8 +87,14 @@ std::span<const int> CommPattern::senders() const {
 }
 
 std::span<const int> CommPattern::receivers() const {
-  ensure_canonical();
+  ensure_receivers_sorted();
   return receivers_;
+}
+
+void CommPattern::ensure_receivers_sorted() const {
+  if (receivers_sorted_) return;
+  std::sort(receivers_.begin(), receivers_.end());
+  receivers_sorted_ = true;
 }
 
 void CommPattern::clear() {
@@ -96,6 +105,7 @@ void CommPattern::clear() {
   stage_.clear();
   total_bytes_ = 0;
   stage_sorted_ = true;
+  receivers_sorted_ = true;
   canonical_ready_ = false;
   canonical_is_stage_ = true;
 }
@@ -121,6 +131,7 @@ int CommPattern::h_degree() const { return std::max(max_sent(), max_received());
 int CommPattern::active_processors() const {
   // |senders ∪ receivers| by merge over the two sorted active sets.
   ensure_canonical();
+  ensure_receivers_sorted();
   std::size_t i = 0, j = 0;
   int n = 0;
   while (i < senders_.size() && j < receivers_.size()) {

@@ -25,7 +25,8 @@
 //
 // Lazy canonicalisation mutates internal caches from const accessors, so a
 // CommPattern must not be shared across threads until one thread has
-// triggered it (the exec plane gives each sweep worker its own patterns).
+// triggered it through messages() and receivers() (the exec plane gives
+// each sweep worker its own patterns).
 //
 // The analysis helpers implement the paper's vocabulary: an h-relation
 // (every processor sends and receives at most h messages), a 1-h relation
@@ -112,8 +113,12 @@ class CommPattern {
   [[nodiscard]] std::uint64_t hash() const;
 
  private:
-  /// Sort the active sets and build the CSR offsets / canonical order.
+  /// Sort the senders and build the CSR offsets / canonical order.
   void ensure_canonical() const;
+  /// Sort the receivers. Only receivers() and active_processors() need
+  /// them in order (FatTree and MeshRouter read them; DeltaRouter does
+  /// not), so they are sorted on first read, not with the senders.
+  void ensure_receivers_sorted() const;
 
   int procs_;
   long total_bytes_ = 0;
@@ -126,6 +131,7 @@ class CommPattern {
   // Lazily-canonicalised caches (see class comment re: thread safety).
   mutable std::vector<int> senders_;    ///< first-touch order, sorted lazily.
   mutable std::vector<int> receivers_;  ///< first-touch order, sorted lazily.
+  mutable bool receivers_sorted_ = true;  ///< receivers_ ascending?
   mutable std::vector<Message> sorted_;        ///< counting-sorted stage_.
   mutable std::vector<std::size_t> begin_of_;  ///< CSR offsets, active only.
   mutable std::vector<std::size_t> cursor_;    ///< counting-sort scratch.

@@ -61,18 +61,17 @@ std::vector<T> two_phase_broadcast(machines::Machine& m, int root,
   BlockDist dist{static_cast<long>(data.size()), g};
 
   // Superstep 1: scatter chunks across the group.
-  Exchange<T> ex1(m, mode);
+  Exchange<T> ex(m, mode);
   for (int i = 0; i < g; ++i) {
     const auto [lo, hi] = dist.range_of(i);
     if (hi == lo || group[static_cast<std::size_t>(i)] == root) continue;
-    ex1.send(root, group[static_cast<std::size_t>(i)],
-             std::span<const T>(data.data() + lo, static_cast<std::size_t>(hi - lo)));
+    ex.send(root, group[static_cast<std::size_t>(i)],
+            std::span<const T>(data.data() + lo, static_cast<std::size_t>(hi - lo)));
   }
-  (void)ex1.run();
+  (void)ex.run();
 
   // Superstep 2: all-gather — member i sends its chunk to every other
   // member, staggered so that member i starts with destination i+1.
-  Exchange<T> ex2(m, mode);
   for (int i = 0; i < g; ++i) {
     const auto [lo, hi] = dist.range_of(i);
     if (hi == lo) continue;
@@ -81,10 +80,10 @@ std::vector<T> two_phase_broadcast(machines::Machine& m, int root,
     for (int d = 1; d < g; ++d) {
       const int dst = group[static_cast<std::size_t>((i + d) % g)];
       if (dst == group[static_cast<std::size_t>(i)]) continue;
-      ex2.send(group[static_cast<std::size_t>(i)], dst, chunk);
+      ex.send(group[static_cast<std::size_t>(i)], dst, chunk);
     }
   }
-  (void)ex2.run();
+  (void)ex.run();
   return data;
 }
 
@@ -100,15 +99,15 @@ std::vector<std::vector<T>> multiscan(machines::Machine& m,
   PCM_CHECK(static_cast<int>(counts.size()) == P);
 
   // Superstep 1: transpose — processor p sends counts[p][b] to processor b.
-  Exchange<T> ex1(m, mode);
+  Exchange<T> ex(m, mode);
   for (int p = 0; p < P; ++p) {
     PCM_CHECK(static_cast<int>(counts[static_cast<std::size_t>(p)].size()) == P);
     for (int d = 0; d < P; ++d) {
       const int b = (p + d) % P;  // staggered
-      ex1.send_value(p, b, counts[static_cast<std::size_t>(p)][static_cast<std::size_t>(b)], p);
+      ex.send_value(p, b, counts[static_cast<std::size_t>(p)][static_cast<std::size_t>(b)], p);
     }
   }
-  auto box = ex1.run();
+  const auto& box = ex.run();
 
   // Local prefix sums per bucket owner; charge P ops each.
   std::vector<std::vector<T>> column(static_cast<std::size_t>(P));
@@ -128,14 +127,13 @@ std::vector<std::vector<T>> multiscan(machines::Machine& m,
   }
 
   // Superstep 2: send the exclusive prefixes back.
-  Exchange<T> ex2(m, mode);
   for (int b = 0; b < P; ++b) {
     for (int d = 0; d < P; ++d) {
       const int p = (b + d) % P;  // staggered
-      ex2.send_value(b, p, column[static_cast<std::size_t>(b)][static_cast<std::size_t>(p)], b);
+      ex.send_value(b, p, column[static_cast<std::size_t>(b)][static_cast<std::size_t>(p)], b);
     }
   }
-  auto box2 = ex2.run();
+  const auto& box2 = ex.run();
 
   std::vector<std::vector<T>> offsets(static_cast<std::size_t>(P));
   for (int p = 0; p < P; ++p) {
@@ -167,8 +165,8 @@ std::vector<std::vector<T>> bpram_transpose(
   // Transposer (a, b) collects M[r][c] for r in a-block, c in b-block.
   std::vector<std::vector<T>> sub(static_cast<std::size_t>(P));
   for (auto& v : sub) v.assign(static_cast<std::size_t>(s) * s, T{});
+  Exchange<T> ex(m, TransferMode::Block);
   for (int t = 0; t < s; ++t) {
-    Exchange<T> ex(m, TransferMode::Block);
     for (int p = 0; p < P; ++p) {
       const int a = p / s, pl = p % s;
       const int b = (pl + t) % s;
@@ -180,10 +178,10 @@ std::vector<std::vector<T>> bpram_transpose(
         for (int c = 0; c < s; ++c)
           sub[static_cast<std::size_t>(u)][static_cast<std::size_t>(pl) * s + c] = seg[static_cast<std::size_t>(c)];
       } else {
-        ex.send(p, u, std::move(seg), pl);
+        ex.send(p, u, seg, pl);
       }
     }
-    auto box = ex.run();
+    const auto& box = ex.run();
     for (int u = 0; u < P; ++u) {
       for (const auto& parcel : box.at(u)) {
         const int r_local = parcel.tag;
@@ -200,7 +198,6 @@ std::vector<std::vector<T>> bpram_transpose(
   std::vector<std::vector<T>> cols(static_cast<std::size_t>(P));
   for (auto& v : cols) v.assign(static_cast<std::size_t>(P), T{});
   for (int t = 0; t < s; ++t) {
-    Exchange<T> ex(m, TransferMode::Block);
     for (int u = 0; u < P; ++u) {
       const int a = u / s, b = u % s;
       const int cl = (a + t) % s;  // staggered column choice
@@ -212,10 +209,10 @@ std::vector<std::vector<T>> bpram_transpose(
         for (int r = 0; r < s; ++r)
           cols[static_cast<std::size_t>(dst)][static_cast<std::size_t>(a) * s + r] = seg[static_cast<std::size_t>(r)];
       } else {
-        ex.send(u, dst, std::move(seg), a);
+        ex.send(u, dst, seg, a);
       }
     }
-    auto box = ex.run();
+    const auto& box = ex.run();
     for (int c = 0; c < P; ++c) {
       for (const auto& parcel : box.at(c)) {
         const int a = parcel.tag;
@@ -270,8 +267,8 @@ std::vector<std::vector<T>> bpram_allgather_one(machines::Machine& m,
   std::vector<std::vector<T>> gathered(static_cast<std::size_t>(P));
   // transposer u collects pairs (contributor, value)
   std::vector<std::vector<std::pair<int, T>>> sub(static_cast<std::size_t>(P));
+  Exchange<T> ex(m, TransferMode::Block);
   for (int t = 0; t < s; ++t) {
-    Exchange<T> ex(m, TransferMode::Block);
     for (int c = 0; c < P; ++c) {
       const int cb = c / s, cl = c % s;
       const int a = (cl + t) % s;
@@ -280,7 +277,7 @@ std::vector<std::vector<T>> bpram_allgather_one(machines::Machine& m,
                                    value[static_cast<std::size_t>(c)]),
               c);
     }
-    auto box = ex.run();
+    const auto& box = ex.run();
     for (int u = 0; u < P; ++u) {
       for (const auto& parcel : box.at(u)) {
         sub[static_cast<std::size_t>(u)].emplace_back(parcel.tag, parcel.data.front());
@@ -291,7 +288,6 @@ std::vector<std::vector<T>> bpram_allgather_one(machines::Machine& m,
   // Phase 2: transposer u = (a, b) sends the block-b values to every member
   // of row-block a, one block message per step.
   for (int t = 0; t < s; ++t) {
-    Exchange<T> ex(m, TransferMode::Block);
     for (int u = 0; u < P; ++u) {
       const int a = u / s, b = u % s;
       const int r = a * s + (b + t) % s;
@@ -302,11 +298,11 @@ std::vector<std::vector<T>> bpram_allgather_one(machines::Machine& m,
         blockvals.push_back(v);
         contributors.push_back(c);
       }
-      ex.send(u, r, std::move(blockvals), u);
+      ex.send(u, r, blockvals, u);
       (void)r;
       (void)contributors;
     }
-    auto box = ex.run();
+    const auto& box = ex.run();
     for (int r = 0; r < P; ++r) {
       for (const auto& parcel : box.at(r)) {
         auto& g = gathered[static_cast<std::size_t>(r)];
@@ -340,8 +336,8 @@ std::vector<T> tree_broadcast(machines::Machine& m, int root,
   auto member = [&](int logical) {
     return group[static_cast<std::size_t>((root_pos + logical) % g)];
   };
+  Exchange<T> ex(m, mode);
   for (int have = 1; have < g; have <<= 1) {
-    Exchange<T> ex(m, mode);
     for (int src = 0; src < have; ++src) {
       const int dst = src + have;
       if (dst >= g) break;
@@ -377,13 +373,13 @@ T tree_reduce(machines::Machine& m, int root, const std::vector<int>& group,
   }
   int span = 1;
   while (span < g) span <<= 1;
+  Exchange<T> ex(m, mode);
   for (int half = span >> 1; half >= 1; half >>= 1) {
-    Exchange<T> ex(m, mode);
     for (int src = half; src < std::min(2 * half, g); ++src) {
       ex.send_value(member(src), member(src - half),
                     rel[static_cast<std::size_t>(src)], src);
     }
-    auto box = ex.run();
+    const auto& box = ex.run();
     for (int dst = 0; dst < half; ++dst) {
       for (const auto& parcel : box.at(member(dst))) {
         rel[static_cast<std::size_t>(dst)] =
@@ -405,12 +401,12 @@ std::vector<T> prefix_scan(machines::Machine& m, const std::vector<T>& value,
   const int P = m.procs();
   PCM_CHECK(static_cast<int>(value.size()) == P);
   std::vector<T> incl = value;
+  Exchange<T> ex(m, mode);
   for (int d = 1; d < P; d <<= 1) {
-    Exchange<T> ex(m, mode);
     for (int p = 0; p + d < P; ++p) {
       ex.send_value(p, p + d, incl[static_cast<std::size_t>(p)], p);
     }
-    auto box = ex.run();
+    const auto& box = ex.run();
     for (int p = d; p < P; ++p) {
       for (const auto& parcel : box.at(p)) {
         incl[static_cast<std::size_t>(p)] = static_cast<T>(

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "audit/conservation.hpp"
@@ -13,10 +12,12 @@
 #include "net/pattern.hpp"
 #include "race/race.hpp"
 #include "runtime/mailbox.hpp"
+#include "sim/arena.hpp"
 
 // One communication step: algorithms stage sends (in the order they want
-// them issued — staggering is expressed here), run() builds the CommPattern,
-// lets the machine's router time it, and delivers the payloads.
+// them issued — staggering is expressed here), run() lets the machine's
+// router time the CommPattern built while staging, and delivers the
+// payloads into the Exchange's Mailbox.
 //
 // TransferMode selects the model style:
 //   - Word:  every element travels as its own w-byte message (BSP / MP-BSP
@@ -24,12 +25,20 @@
 //   - Block: each staged parcel is a single message of size(data) bytes
 //            (MP-BPRAM style bulk transfer).
 //
+// An Exchange is built once per kernel and reused for every step: run()
+// clears the pattern and keeps every buffer's capacity. send() copies the
+// payload into an Exchange-owned sim::Arena and pushes one small header per
+// parcel; run() hands the mailbox spans into that arena. The arena is
+// recycled at the first send() after run(), which is also where the
+// previous mailbox closes. In steady state a step allocates nothing.
+//
 // Fault injection: when the machine carries a fault::Injector, the machine
 // rewrites the pattern (drops/duplicates) during exchange(); run() then
 // mirrors those packet faults onto the staged payloads — a dropped message's
 // element never arrives, a duplicated one arrives twice — and applies
 // payload-corruption draws at delivery. The audit conservation check is
-// adjusted by the same fault records, so --audit and --fault compose.
+// adjusted by the same fault records, so --audit and --fault compose. All
+// of this runs on a cold path, taken only when the machine has an injector.
 
 namespace pcm::runtime {
 
@@ -37,35 +46,49 @@ enum class TransferMode { Word, Block };
 
 template <typename T>
 class Exchange {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "payloads are staged by byte copy into an arena");
+
  public:
   explicit Exchange(machines::Machine& m, TransferMode mode)
-      : machine_(m), mode_(mode), pattern_(m.procs()) {}
+      : machine_(m), mode_(mode), pattern_(m.procs()), box_(m.procs()) {}
+
+  Exchange(const Exchange&) = delete;
+  Exchange& operator=(const Exchange&) = delete;
 
   [[nodiscard]] machines::Machine& machine() { return machine_; }
   [[nodiscard]] TransferMode mode() const { return mode_; }
 
-  /// Stage a parcel. Sends are issued per sender in staging order.
-  void send(int src, int dst, std::vector<T> data, int tag = 0) {
-    if (data.empty()) return;
-    const auto qpos = static_cast<std::size_t>(pattern_.send_count(src));
-    stage_pattern(src, dst, data.size());
-    staged_.push_back(Staged{src, dst, tag, qpos, std::move(data)});
-  }
-
+  /// Stage a parcel (a copy of `data`). Sends are issued per sender in
+  /// staging order.
   void send(int src, int dst, std::span<const T> data, int tag = 0) {
-    send(src, dst, std::vector<T>(data.begin(), data.end()), tag);
+    if (data.empty()) return;
+    if (box_.is_open()) {
+      // First send after run(): the previous mailbox's spans point into
+      // the arena about to be recycled.
+      box_.close();
+      arena_.reset();
+    }
+    const int qpos = pattern_.send_count(src);
+    stage_pattern(src, dst, data.size());
+    const std::span<T> copy = arena_.alloc<T>(data.size());
+    std::memcpy(copy.data(), data.data(), data.size_bytes());
+    staged_.push_back(Staged{src, dst, tag, qpos, copy.data(), copy.size()});
+    staged_elems_ += data.size();
   }
 
   void send_value(int src, int dst, T value, int tag = 0) {
-    send(src, dst, std::vector<T>{value}, tag);
+    send(src, dst, std::span<const T>(&value, 1), tag);
   }
 
   [[nodiscard]] std::size_t staged_messages() const { return pattern_.size(); }
   [[nodiscard]] const net::CommPattern& pattern() const { return pattern_; }
 
   /// Execute the communication step on the machine and deliver payloads.
-  /// The Exchange is reusable afterwards (cleared).
-  Mailbox<T> run() {
+  /// The returned mailbox stays valid until this Exchange's next send() or
+  /// run(); the Exchange is ready for the next step.
+  Mailbox<T>& run() {
+    box_.close();
     // Under --audit: snapshot the injected per-endpoint byte totals before
     // the pattern is consumed, and require the mailbox to account for every
     // one of them afterwards (each parcel delivered exactly once, to the
@@ -80,125 +103,127 @@ class Exchange {
       // before packet faults): complements the machine's router-level
       // packet/byte counters.
       const obs::Builtin& b = obs::builtin();
-      std::uint64_t payload = 0;
-      for (const auto& s : staged_) payload += s.data.size() * sizeof(T);
       machine_.metrics().add(b.parcels, staged_.size());
-      machine_.metrics().add(b.payload_bytes, payload);
+      machine_.metrics().add(b.payload_bytes, staged_elems_ * sizeof(T));
     }
-    Mailbox<T> box(machine_.procs());
+    if (machine_.injector() != nullptr) {
+      apply_faults(auditing ? &injected : nullptr);
+    }
     // Under --race: stamp the mailbox with the delivery epoch so consuming
     // it after a reset() (stale read) is caught. Unstamped mailboxes carry
     // no machine pointer, so runs without the detector cannot dangle.
-    if (race::enabled()) box.race_stamp(machine_);
-    const fault::ExchangeFaults& faults = machine_.last_exchange_faults();
-    fault::Injector* inj = machine_.injector();
-    const long step = machine_.superstep();
-    for (auto& s : staged_) {
-      int copies = 1;
-      if (!faults.empty()) {
-        copies = apply_packet_faults(s, faults, auditing ? &injected : nullptr);
-      }
-      if (copies == 0) continue;  // lost in flight
-      bool corrupted = false;
-      if (inj != nullptr && inj->should_corrupt(step)) {
-        corrupted = corrupt_payload(*inj, s.data);
-      }
-      for (int c = 1; c < copies; ++c) {
-        box.deliver(s.dst, Parcel<T>{s.src, s.tag, s.data, corrupted});
-      }
-      box.deliver(s.dst, Parcel<T>{s.src, s.tag, std::move(s.data), corrupted});
-    }
+    box_.refill(staged_, race::enabled() ? &machine_ : nullptr);
     staged_.clear();
+    staged_elems_ = 0;
     pattern_.clear();
     if (auditing) {
       audit::EndpointBytes delivered;
-      for (int p = 0; p < box.procs(); ++p) {
-        for (const auto& parcel : box.at(p)) {
+      for (int p = 0; p < box_.procs(); ++p) {
+        for (const auto& parcel : box_.at(p)) {
           delivered[{parcel.src, p}] +=
               static_cast<long>(parcel.data.size() * sizeof(T));
         }
       }
       audit::check_endpoints_conserved(injected, delivered);
     }
-    return box;
+    return box_;
   }
 
  private:
+  /// One staged parcel: its payload lives in arena_.
   struct Staged {
     int src;
     int dst;
     int tag;
     /// Position of this parcel's first message in src's per-sender queue of
     /// the staged CommPattern — the key packet-fault records are matched on.
-    std::size_t first_qpos;
-    std::vector<T> data;
+    int first_qpos;
+    T* data;
+    std::size_t len;
+    int copies = 1;  ///< Deliveries after packet faults (0 = lost).
+    bool corrupted = false;
   };
 
-  /// Mirror the machine's injected packet faults onto one staged parcel,
-  /// adjusting the audit snapshot (when non-null) by the same records.
-  /// Returns how many copies of the parcel to deliver (0 = dropped).
-  int apply_packet_faults(Staged& s, const fault::ExchangeFaults& faults,
-                          audit::EndpointBytes* injected) {
+  /// Cold path: mirror the machine's packet faults and draw payload
+  /// corruption, parcel by parcel in staging order.
+  void apply_faults(audit::EndpointBytes* injected) {
+    const fault::ExchangeFaults& faults = machine_.last_exchange_faults();
+    fault::Injector& inj = *machine_.injector();
+    const long step = machine_.superstep();
+    for (auto& s : staged_) {
+      if (!faults.empty()) {
+        s.copies = mirror_packet_faults(s, faults, injected);
+      }
+      if (s.copies == 0) continue;  // lost in flight
+      if (inj.should_corrupt(step)) s.corrupted = corrupt_payload(inj, s);
+    }
+  }
+
+  /// Mirror the injected packet faults onto one staged parcel, adjusting
+  /// the audit snapshot (when non-null) by the same records. Returns how
+  /// many copies of the parcel to deliver (0 = dropped).
+  int mirror_packet_faults(Staged& s, const fault::ExchangeFaults& faults,
+                           audit::EndpointBytes* injected) {
+    const auto first = static_cast<std::size_t>(s.first_qpos);
     if (mode_ == TransferMode::Block) {
       // One staged parcel == one message: drop it or deliver it twice.
       int copies = 1;
       for (const auto& f : faults.dropped) {
-        if (f.src == s.src && f.qpos == s.first_qpos) {
+        if (f.src == s.src && f.qpos == first) {
           copies = 0;
           if (injected != nullptr) (*injected)[{f.src, f.dst}] -= f.bytes;
         }
       }
       for (const auto& f : faults.duplicated) {
-        if (f.src == s.src && f.qpos == s.first_qpos) {
+        if (f.src == s.src && f.qpos == first) {
           ++copies;
           if (injected != nullptr) (*injected)[{f.src, f.dst}] += f.bytes;
         }
       }
       return copies;
     }
-    // Word mode: the parcel's elements are messages
-    // [first_qpos, first_qpos + n) of s.src's queue. A dropped message loses
-    // its element; a duplicated one arrives again after the parcel body.
-    const std::size_t n = s.data.size();
-    std::vector<T> dups;
-    dups.reserve(faults.duplicated.size());
+    // Word mode: the parcel's elements are messages [first, first + len) of
+    // s.src's queue. A dropped message loses its element; a duplicated one
+    // arrives again after the parcel body. A rewritten parcel gets a fresh
+    // arena slice.
+    dup_at_.clear();
     for (const auto& f : faults.duplicated) {
-      if (f.src == s.src && f.qpos >= s.first_qpos &&
-          f.qpos < s.first_qpos + n) {
-        dups.push_back(s.data[f.qpos - s.first_qpos]);
+      if (f.src == s.src && f.qpos >= first && f.qpos < first + s.len) {
+        dup_at_.push_back(f.qpos - first);
         if (injected != nullptr) (*injected)[{f.src, f.dst}] += f.bytes;
       }
     }
-    std::vector<std::size_t> drops;  // ascending (injector walks in order)
-    drops.reserve(faults.dropped.size());
+    drop_at_.clear();  // ascending (the injector walks each queue in order)
     for (const auto& f : faults.dropped) {
-      if (f.src == s.src && f.qpos >= s.first_qpos &&
-          f.qpos < s.first_qpos + n) {
-        drops.push_back(f.qpos - s.first_qpos);
+      if (f.src == s.src && f.qpos >= first && f.qpos < first + s.len) {
+        drop_at_.push_back(f.qpos - first);
         if (injected != nullptr) (*injected)[{f.src, f.dst}] -= f.bytes;
       }
     }
-    for (auto it = drops.rbegin(); it != drops.rend(); ++it) {
-      s.data.erase(s.data.begin() + static_cast<std::ptrdiff_t>(*it));
+    if (dup_at_.empty() && drop_at_.empty()) return 1;
+    const std::span<T> out =
+        arena_.alloc<T>(s.len - drop_at_.size() + dup_at_.size());
+    std::size_t k = 0;
+    std::size_t next_drop = 0;
+    for (std::size_t i = 0; i < s.len; ++i) {
+      if (next_drop < drop_at_.size() && drop_at_[next_drop] == i) {
+        ++next_drop;
+        continue;
+      }
+      out[k++] = s.data[i];
     }
-    s.data.reserve(s.data.size() + dups.size());
-    s.data.insert(s.data.end(), dups.begin(), dups.end());
-    return s.data.empty() ? 0 : 1;
+    for (const std::size_t i : dup_at_) out[k++] = s.data[i];
+    s.data = out.data();
+    s.len = out.size();
+    return s.len == 0 ? 0 : 1;
   }
 
-  /// Flip one injector-chosen bit of the payload. Only trivially copyable
-  /// element types can be byte-poked; others pass through untouched.
-  static bool corrupt_payload(fault::Injector& inj, std::vector<T>& data) {
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      if (data.empty()) return false;
-      auto* bytes = reinterpret_cast<unsigned char*>(data.data());
-      inj.corrupt(std::span<unsigned char>(bytes, data.size() * sizeof(T)));
-      return true;
-    } else {
-      (void)inj;
-      (void)data;
-      return false;
-    }
+  /// Flip one injector-chosen bit of the payload.
+  static bool corrupt_payload(fault::Injector& inj, const Staged& s) {
+    if (s.len == 0) return false;
+    auto* bytes = reinterpret_cast<unsigned char*>(s.data);
+    inj.corrupt(std::span<unsigned char>(bytes, s.len * sizeof(T)));
+    return true;
   }
 
   void stage_pattern(int src, int dst, std::size_t elems) {
@@ -213,7 +238,12 @@ class Exchange {
   machines::Machine& machine_;
   TransferMode mode_;
   net::CommPattern pattern_;
+  sim::Arena arena_;
   std::vector<Staged> staged_;
+  std::size_t staged_elems_ = 0;
+  Mailbox<T> box_;
+  std::vector<std::size_t> drop_at_;  ///< Fault-path scratch.
+  std::vector<std::size_t> dup_at_;   ///< Fault-path scratch.
 };
 
 }  // namespace pcm::runtime

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -9,27 +9,42 @@
 #include "race/race.hpp"
 #include "sim/check.hpp"
 
-// Delivered data. An Exchange produces a Mailbox: per destination processor,
-// the parcels it received in a deterministic order (sender id, then send
-// order). Tags let an algorithm separate logical streams that travel in the
-// same communication step.
+// Delivered data. Each Exchange owns one Mailbox and refills it on every
+// run(): per destination processor, the parcels it received, in the order
+// they were staged. Tags let an algorithm separate logical streams that
+// travel in the same communication step.
+//
+// Storage is CSR, like CommPattern's: one flat parcel array grouped by
+// destination, plus dense per-destination offsets that are reset sparsely
+// through the list of touched destinations. A step costs O(delivered
+// parcels), never O(P). A parcel's data is a span into its Exchange's
+// payload arena, so delivery copies no payload.
+//
+// Lifetime: a mailbox is valid until its Exchange's next send() or run().
+// The first send() after run() recycles the arena the spans point into and
+// closes the mailbox; reading a closed mailbox is a PCM_CHECK failure, not
+// a dangling read. The next run() refills the same object. Mailboxes are
+// non-copyable, so a caller binds the reference run() returns:
+// `auto& box = ex.run();`.
 //
 // Race detection: Exchange::run() stamps the mailbox with the producing
-// machine's (trial, superstep) epoch while the detector is enabled. Every
-// consumption re-checks that the machine is still on the same trial — a
-// parcel held across reset() belongs to a superstep whose closing barrier
-// was torn down with the old timeline, so reading it is a stale read (it
-// would mix a previous trial's data into the current measurement). The
-// stamp holds a plain pointer; a stamped mailbox must not outlive its
-// machine (every use in this library consumes the mailbox immediately).
+// machine's (trial, superstep) epoch while the detector is enabled, and
+// clears the stamp while it is off. Every consumption re-checks that the
+// machine is still on the same trial — a parcel held across reset() belongs
+// to a superstep whose closing barrier was torn down with the old timeline,
+// so reading it is a stale read (it would mix a previous trial's data into
+// the current measurement).
 
 namespace pcm::runtime {
+
+template <typename T>
+class Exchange;
 
 template <typename T>
 struct Parcel {
   int src = 0;
   int tag = 0;
-  std::vector<T> data;
+  std::span<const T> data;
   /// Set by Exchange::run() when a fault plan flipped a bit of `data` in
   /// flight. Algorithms normally ignore it (a real machine would not know);
   /// fault-tolerance experiments and tests read it as ground truth.
@@ -39,32 +54,23 @@ struct Parcel {
 template <typename T>
 class Mailbox {
  public:
-  explicit Mailbox(int procs) : by_proc_(static_cast<std::size_t>(procs)) {}
+  explicit Mailbox(int procs)
+      : begin_(static_cast<std::size_t>(procs), 0),
+        count_(static_cast<std::size_t>(procs), 0) {}
 
-  [[nodiscard]] int procs() const { return static_cast<int>(by_proc_.size()); }
+  Mailbox(const Mailbox&) = delete;
+  Mailbox& operator=(const Mailbox&) = delete;
 
-  void deliver(int dst, Parcel<T> parcel) {
-    PCM_CHECK(dst >= 0 && dst < procs());
-    by_proc_[static_cast<std::size_t>(dst)].push_back(std::move(parcel));
-  }
+  [[nodiscard]] int procs() const { return static_cast<int>(count_.size()); }
 
-  /// Stamp the delivery epoch (called by Exchange::run under --race).
-  void race_stamp(const machines::Machine& m) {
-    machine_ = &m;
-    trial_ = m.trial();
-    epoch_ = m.superstep();
-  }
-
-  /// All parcels received by processor p, ordered by (src, send order).
+  /// All parcels received by processor p, in staging order.
   [[nodiscard]] std::span<const Parcel<T>> at(int p) const {
+    PCM_CHECK(open_ && "mailbox read after its Exchange staged again");
     PCM_CHECK(p >= 0 && p < procs());
     race_check_fresh(p);
-    return by_proc_[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] std::span<Parcel<T>> at(int p) {
-    PCM_CHECK(p >= 0 && p < procs());
-    race_check_fresh(p);
-    return by_proc_[static_cast<std::size_t>(p)];
+    const std::size_t n = count_[static_cast<std::size_t>(p)];
+    if (n == 0) return {};
+    return {parcels_.data() + begin_[static_cast<std::size_t>(p)], n};
   }
 
   /// Parcels for processor p with a given tag.
@@ -85,14 +91,59 @@ class Mailbox {
 
   /// Parcels across all processors that a fault plan corrupted in flight.
   [[nodiscard]] std::size_t corrupted_count() const {
+    PCM_CHECK(open_ && "mailbox read after its Exchange staged again");
     std::size_t n = 0;
-    for (const auto& parcels : by_proc_) {
-      for (const auto& parcel : parcels) n += parcel.corrupted ? 1 : 0;
-    }
+    for (const auto& parcel : parcels_) n += parcel.corrupted ? 1 : 0;
     return n;
   }
 
  private:
+  friend class Exchange<T>;
+
+  /// Refill from an Exchange's staged headers (fields src, dst, tag, data,
+  /// len, copies, corrupted): a counting sort by destination that keeps
+  /// each destination's parcels in staging order. `stamp` is the machine
+  /// to race-stamp against, or null.
+  template <typename Staged>
+  void refill(const std::vector<Staged>& staged,
+              const machines::Machine* stamp) {
+    for (const int d : touched_) count_[static_cast<std::size_t>(d)] = 0;
+    touched_.clear();
+    std::size_t total = 0;
+    for (const auto& s : staged) {
+      if (s.copies == 0) continue;
+      std::size_t& c = count_[static_cast<std::size_t>(s.dst)];
+      if (c == 0) touched_.push_back(s.dst);
+      c += static_cast<std::size_t>(s.copies);
+      total += static_cast<std::size_t>(s.copies);
+    }
+    // begin_ holds each destination's end offset; the reverse walk below
+    // fills each group back to front and leaves begin_ at its start.
+    std::size_t end = 0;
+    for (const int d : touched_) {
+      end += count_[static_cast<std::size_t>(d)];
+      begin_[static_cast<std::size_t>(d)] = end;
+    }
+    parcels_.resize(total);
+    for (auto it = staged.rbegin(); it != staged.rend(); ++it) {
+      std::size_t& slot = begin_[static_cast<std::size_t>(it->dst)];
+      for (int c = 0; c < it->copies; ++c) {
+        parcels_[--slot] = Parcel<T>{
+            it->src, it->tag, std::span<const T>(it->data, it->len),
+            it->corrupted};
+      }
+    }
+    machine_ = stamp;
+    if (stamp != nullptr) {
+      trial_ = stamp->trial();
+      epoch_ = stamp->superstep();
+    }
+    open_ = true;
+  }
+
+  void close() { open_ = false; }
+  [[nodiscard]] bool is_open() const { return open_; }
+
   void race_check_fresh(int p) const {
     if (machine_ == nullptr || !race::enabled()) return;
     if (machine_->trial() != trial_) {
@@ -106,7 +157,11 @@ class Mailbox {
     race::count_check();
   }
 
-  std::vector<std::vector<Parcel<T>>> by_proc_;
+  std::vector<Parcel<T>> parcels_;   ///< Grouped by destination.
+  std::vector<std::size_t> begin_;   ///< Dense; valid where count_ > 0.
+  std::vector<std::size_t> count_;   ///< Dense; zeroed through touched_.
+  std::vector<int> touched_;         ///< Destinations with parcels.
+  bool open_ = false;
   const machines::Machine* machine_ = nullptr;  ///< Race stamp; may be null.
   long trial_ = -1;
   long epoch_ = -1;

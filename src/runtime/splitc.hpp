@@ -163,8 +163,8 @@ class SplitPhase {
         arrays.push_back(w.ga);
       }
     }
+    Exchange<T> writes(m_, TransferMode::Word);
     for (auto* ga : arrays) {
-      Exchange<T> writes(m_, TransferMode::Word);
       for (const auto& w : staged_writes_) {
         if (w.ga != ga) continue;
         const int dst = ga->owner(w.index);
@@ -175,7 +175,7 @@ class SplitPhase {
           writes.send_value(w.src, dst, w.value, static_cast<int>(ga->slot(w.index)));
         }
       }
-      auto wbox = writes.run();
+      const auto& wbox = writes.run();
       for (int p = 0; p < m_.procs(); ++p) {
         for (const auto& parcel : wbox.at(p)) {
           ga->slice_of(p)[static_cast<std::size_t>(parcel.tag)] =
@@ -192,7 +192,7 @@ class SplitPhase {
       if (dst == rd.src) continue;  // local read
       requests.send_value(rd.src, dst, static_cast<long>(r), rd.src);
     }
-    auto reqbox = requests.run();
+    const auto& reqbox = requests.run();
 
     // Replies.
     Exchange<T> replies(m_, TransferMode::Word);
@@ -203,7 +203,7 @@ class SplitPhase {
         replies.send_value(p, rd.src, rd.ga->peek(rd.index), static_cast<int>(r));
       }
     }
-    auto repbox = replies.run();
+    const auto& repbox = replies.run();
     for (int p = 0; p < m_.procs(); ++p) {
       for (const auto& parcel : repbox.at(p)) {
         const auto& rd = staged_reads_[static_cast<std::size_t>(parcel.tag)];

@@ -251,7 +251,7 @@ void run_audited_smoke(machines::Platform platform) {
                               static_cast<std::uint32_t>(src * P + dst)});
       }
     }
-    const auto box = ex.run();
+    const auto& box = ex.run();
     for (int p = 0; p < P; ++p) {
       EXPECT_EQ(box.at(p).size(), static_cast<std::size_t>(P - 1));
     }

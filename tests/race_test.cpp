@@ -162,7 +162,7 @@ TEST(RaceViolation, StaleMailboxReadAfterReset) {
   auto m = test::small_cm5();
   runtime::Exchange<int> ex(*m, runtime::TransferMode::Word);
   ex.send_value(0, 1, 42);
-  auto box = ex.run();
+  auto& box = ex.run();
   EXPECT_NO_THROW((void)box.at(1));  // fresh: same trial
   m->reset();                        // tears down the delivering trial
   try {
@@ -244,10 +244,25 @@ TEST(RaceViolation, SilentWhenDisabled) {
   EXPECT_NO_THROW(sp.sync());
   runtime::Exchange<int> ex(*m, runtime::TransferMode::Word);
   ex.send_value(0, 1, 42);
-  auto box = ex.run();
+  auto& box = ex.run();
   m->reset();
   EXPECT_NO_THROW((void)box.at(1));
   EXPECT_EQ(ga.race_shadow(), nullptr);  // no shadow allocated while off
+}
+
+TEST(RaceViolation, ReusedMailboxDropsItsStampWhileTheDetectorIsOff) {
+  auto m = test::small_cm5();
+  runtime::Exchange<int> ex(*m, runtime::TransferMode::Word);
+  race::set_enabled(true);
+  ex.send_value(0, 1, 42);
+  (void)ex.run();  // stamped with the current trial
+  race::set_enabled(false);
+  ex.send_value(0, 1, 43);
+  auto& box = ex.run();  // refilled while off: no stamp
+  m->reset();
+  RaceOn on;
+  EXPECT_NO_THROW((void)box.at(1));
+  EXPECT_EQ(box.at(1).front().data.front(), 43);
 }
 
 // --- golden path on the paper machines -------------------------------------
@@ -279,7 +294,7 @@ void run_raced_smoke(machines::Platform platform) {
     ex.send(src, (src + 1) % P,
             std::vector<std::uint32_t>{static_cast<std::uint32_t>(src)});
   }
-  const auto box = ex.run();
+  const auto& box = ex.run();
   for (int p = 0; p < P; ++p) EXPECT_EQ(box.at(p).size(), 1u);
   m->barrier();
 

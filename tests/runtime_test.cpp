@@ -139,7 +139,7 @@ TEST(Exchange, DeliversPayloadsWithTags) {
   Exchange<int> ex(*m, TransferMode::Block);
   ex.send(0, 2, std::vector<int>{7, 8}, /*tag=*/5);
   ex.send(1, 2, std::vector<int>{9}, /*tag=*/6);
-  auto box = ex.run();
+  auto& box = ex.run();
   ASSERT_EQ(box.at(2).size(), 2u);
   EXPECT_EQ(box.count_at(2), 3u);
   const auto tagged = box.with_tag(2, 6);
@@ -156,7 +156,7 @@ TEST(Exchange, ReusableAfterRun) {
   (void)ex.run();
   EXPECT_EQ(ex.staged_messages(), 0u);
   ex.send(1, 0, std::vector<int>{2});
-  auto box = ex.run();
+  auto& box = ex.run();
   EXPECT_EQ(box.count_at(0), 1u);
 }
 
@@ -208,11 +208,37 @@ TEST(Exchange, OneExchangeServesThreeDifferentPatterns) {
   EXPECT_EQ(ex.staged_messages(), 0u);
 }
 
+TEST(Exchange, RunRefillsOneNonCopyableMailbox) {
+  static_assert(!std::is_copy_constructible_v<Mailbox<int>>);
+  static_assert(!std::is_copy_assignable_v<Mailbox<int>>);
+  auto m = test::small_cm5();
+  Exchange<int> ex(*m, TransferMode::Word);
+  ex.send_value(0, 1, 5);
+  const Mailbox<int>* first = &ex.run();
+  ex.send_value(2, 1, 6);
+  const auto& box = ex.run();
+  EXPECT_EQ(&box, first);
+  ASSERT_EQ(box.at(1).size(), 1u);
+  EXPECT_EQ(box.at(1).front().src, 2);
+  EXPECT_EQ(box.at(1).front().data.front(), 6);
+}
+
+TEST(ExchangeDeathTest, MailboxReadAfterStagingAgainTripsTheCheck) {
+  auto m = test::small_cm5();
+  Exchange<int> ex(*m, TransferMode::Word);
+  ex.send_value(0, 1, 42);
+  const auto& box = ex.run();
+  EXPECT_EQ(box.at(1).size(), 1u);
+  ex.send_value(1, 0, 7);  // recycles the arena box's spans point into
+  EXPECT_DEATH((void)box.at(1),
+               "mailbox read after its Exchange staged again");
+}
+
 TEST(Exchange, SendValueHelper) {
   auto m = test::small_cm5();
   Exchange<float> ex(*m, TransferMode::Word);
   ex.send_value(3, 4, 2.5f);
-  auto box = ex.run();
+  auto& box = ex.run();
   ASSERT_EQ(box.at(4).size(), 1u);
   EXPECT_FLOAT_EQ(box.at(4).front().data.front(), 2.5f);
 }

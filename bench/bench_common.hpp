@@ -60,7 +60,6 @@ struct Env {
   int jobs = 1;           ///< Sweep workers; 0 = one per hardware thread.
   std::uint64_t seed = 0; ///< 0 = use the bench's default seed.
   int procs = 0;          ///< 0 = the platform's Table 1 machine size.
-  std::string fault;        ///< The --fault spec as given (empty = none).
   int retries = 0;          ///< Extra attempts per failing cell.
   double cell_timeout_ms = 0.0;  ///< Watchdog budget per cell; 0 = off.
   std::string checkpoint;   ///< Journal directory (empty = no journal).
@@ -200,9 +199,8 @@ inline Env parse_env(int argc, char** argv, std::string_view takes) {
         fail("--procs expects a positive integer, got '" + arg + "'");
       }
     } else if (arg.rfind("--fault=", 0) == 0) {
-      env.fault = arg.substr(8);
       try {
-        fault::set_plan(fault::parse_fault_plan(env.fault));
+        fault::set_plan(fault::parse_fault_plan(arg.substr(8)));
       } catch (const std::invalid_argument& e) {
         fail(std::string("--fault: ") + e.what());
       }

@@ -46,12 +46,7 @@ class MatmulRun {
  public:
   MatmulRun(machines::Machine& m, const std::vector<T>& a,
             const std::vector<T>& b, int n, MatmulVariant v)
-      : m_(m),
-        grid_(runtime::Grid3::fit(m.procs())),
-        n_(n),
-        v_(v),
-        ex_(m, v == MatmulVariant::Bpram ? runtime::TransferMode::Block
-                                         : runtime::TransferMode::Word) {
+      : m_(m), grid_(runtime::Grid3::fit(m.procs())), n_(n), v_(v) {
     q_ = grid_.q;
     bs_ = n_ / q_;        // block size N/q
     ps_ = n_ / (q_ * q_); // piece rows N/q^2
@@ -113,11 +108,12 @@ class MatmulRun {
     }
     if (v_ == MatmulVariant::Bpram) {
       // Single-port permutation steps: one block per processor per step.
+      runtime::Exchange<T> ex(m_, runtime::TransferMode::Block);
       for (int d = 1; d < q_; ++d) {  // A to <i,j,(k+d)%q>
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
-          ex_.send(rank(i, j, k), rank(i, j, (k + d) % q_), loc.a_piece, k);
+          ex.send(rank(i, j, k), rank(i, j, (k + d) % q_), loc.a_piece, k);
         });
-        deliver_a();
+        deliver_a(ex);
         m_.barrier();
       }
       for (int d = 0; d < q_; ++d) {  // B^k_ij to <(k+d)%q, i, j>
@@ -127,18 +123,19 @@ class MatmulRun {
             ensure_b(loc);
             install(loc.b_full, k, loc.b_piece);
           } else {
-            ex_.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
+            ex.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
           }
         });
-        deliver_b();
+        deliver_b(ex);
         m_.barrier();
       }
     } else {
       // One pipelined word superstep carrying both replications.
+      runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
       for_each_proc([&](int i, int j, int k, Local<T>& loc) {
         for (int d = 1; d < q_; ++d) {
           const int kk = stag ? (k + d) % q_ : d - 1 + (d - 1 >= k ? 1 : 0);
-          ex_.send(rank(i, j, k), rank(i, j, kk), loc.a_piece, k);
+          ex.send(rank(i, j, k), rank(i, j, kk), loc.a_piece, k);
         }
         for (int d = 0; d < q_; ++d) {
           const int ii = stag ? (k + d) % q_ : d;
@@ -147,11 +144,11 @@ class MatmulRun {
             ensure_b(loc);
             install(loc.b_full, k, loc.b_piece);
           } else {
-            ex_.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
+            ex.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
           }
         }
       });
-      consume(ex_.run());
+      consume(ex.run());
       m_.barrier();
     }
     // Everyone installs its own A piece locally (free).
@@ -163,14 +160,15 @@ class MatmulRun {
   // MasPar MP-BSP: one element per PE per communication step, staggered.
   void replicate_mp_bsp() {
     const long elems = piece_elems();
+    runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
     for (int d = 1; d < q_; ++d) {
       for (long e = 0; e < elems; ++e) {
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
-          ex_.send_value(rank(i, j, k), rank(i, j, (k + d) % q_),
+          ex.send_value(rank(i, j, k), rank(i, j, (k + d) % q_),
                         loc.a_piece[static_cast<std::size_t>(e)],
                         tag2(k, static_cast<int>(e)));
         });
-        deliver_a_elems();
+        deliver_a_elems(ex);
       }
     }
     for (int d = 0; d < q_; ++d) {
@@ -182,12 +180,12 @@ class MatmulRun {
             loc.b_full[static_cast<std::size_t>(k) * elems + static_cast<std::size_t>(e)] =
                 loc.b_piece[static_cast<std::size_t>(e)];
           } else {
-            ex_.send_value(rank(i, j, k), dst,
-                           loc.b_piece[static_cast<std::size_t>(e)],
-                           tag2(k, static_cast<int>(e)));
+            ex.send_value(rank(i, j, k), dst,
+                          loc.b_piece[static_cast<std::size_t>(e)],
+                          tag2(k, static_cast<int>(e)));
           }
         });
-        deliver_b_elems();
+        deliver_b_elems(ex);
       }
     }
     for_each_proc([&](int, int, int k, Local<T>& loc) {
@@ -229,6 +227,7 @@ class MatmulRun {
     };
     if (v_ == MatmulVariant::MpBsp) {
       const long elems = piece_elems();
+      runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
       for (int d = 0; d < q_; ++d) {
         for (long e = 0; e < elems; ++e) {
           for_each_proc([&](int i, int j, int k, Local<T>& loc) {
@@ -238,11 +237,11 @@ class MatmulRun {
             if (dst == rank(i, j, k)) {
               accumulate_c(loc, static_cast<int>(e), val);
             } else {
-              ex_.send_value(rank(i, j, k), dst, static_cast<T>(val),
-                             static_cast<int>(e));
+              ex.send_value(rank(i, j, k), dst, static_cast<T>(val),
+                            static_cast<int>(e));
             }
           });
-          const auto& box = ex_.run();
+          const auto& box = ex.run();
           for (int p = 0; p < grid_.procs(); ++p) {
             auto& loc = local_[static_cast<std::size_t>(p)];
             for (const auto& parcel : box.at(p)) {
@@ -255,6 +254,7 @@ class MatmulRun {
       return;
     }
     if (v_ == MatmulVariant::Bpram) {
+      runtime::Exchange<T> ex(m_, runtime::TransferMode::Block);
       for (int d = 0; d < q_; ++d) {
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
           const int l = (j + d) % q_;
@@ -262,15 +262,16 @@ class MatmulRun {
           if (dst == rank(i, j, k)) {
             accumulate_piece(loc, piece_of(loc, l));
           } else {
-            ex_.send(rank(i, j, k), dst, piece_of(loc, l));
+            ex.send(rank(i, j, k), dst, piece_of(loc, l));
           }
         });
-        deliver_c();
+        deliver_c(ex);
         m_.barrier();
       }
       return;
     }
     // BSP word superstep.
+    runtime::Exchange<T> ex(m_, runtime::TransferMode::Word);
     for_each_proc([&](int i, int j, int k, Local<T>& loc) {
       for (int d = 0; d < q_; ++d) {
         const int l = stag ? (j + d) % q_ : d;
@@ -278,11 +279,11 @@ class MatmulRun {
         if (dst == rank(i, j, k)) {
           accumulate_piece(loc, piece_of(loc, l));
         } else {
-          ex_.send(rank(i, j, k), dst, piece_of(loc, l));
+          ex.send(rank(i, j, k), dst, piece_of(loc, l));
         }
       }
     });
-    deliver_c();
+    deliver_c(ex);
     m_.barrier();
   }
 
@@ -341,16 +342,16 @@ class MatmulRun {
     }
   }
 
-  void deliver_a() {
-    const auto& box = ex_.run();
+  void deliver_a(runtime::Exchange<T>& ex) {
+    const auto& box = ex.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) install(loc.a_full, parcel.tag, parcel.data);
     }
   }
 
-  void deliver_b() {
-    const auto& box = ex_.run();
+  void deliver_b(runtime::Exchange<T>& ex) {
+    const auto& box = ex.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) {
@@ -363,8 +364,8 @@ class MatmulRun {
     }
   }
 
-  void deliver_a_elems() {
-    const auto& box = ex_.run();
+  void deliver_a_elems(runtime::Exchange<T>& ex) {
+    const auto& box = ex.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       if (loc.a_full.empty())
@@ -378,8 +379,8 @@ class MatmulRun {
     }
   }
 
-  void deliver_b_elems() {
-    const auto& box = ex_.run();
+  void deliver_b_elems(runtime::Exchange<T>& ex) {
+    const auto& box = ex.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       ensure_b(loc);
@@ -407,8 +408,8 @@ class MatmulRun {
     for (std::size_t e = 0; e < piece.size(); ++e) loc.c_piece[e] += piece[e];
   }
 
-  void deliver_c() {
-    const auto& box = ex_.run();
+  void deliver_c(runtime::Exchange<T>& ex) {
+    const auto& box = ex.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) {
@@ -446,8 +447,6 @@ class MatmulRun {
   int bs_ = 0;
   int ps_ = 0;
   std::vector<Local<T>> local_;
-  /// One Exchange serves every communication step of the run.
-  runtime::Exchange<T> ex_;
 };
 
 }  // namespace

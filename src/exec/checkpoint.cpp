@@ -1,12 +1,14 @@
 #include "exec/checkpoint.hpp"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace pcm::exec {
 
@@ -14,6 +16,16 @@ namespace {
 
 constexpr const char* kMagicV1 = "pcm-sweep-journal v1 ";
 constexpr const char* kMagicV2 = "pcm-sweep-journal v2 ";
+
+/// FNV-1a 64-bit, the per-line checksum of the v2 journal format.
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 std::string sanitize(const std::string& name) {
   std::string out;
@@ -182,15 +194,6 @@ JournalLoad read_journal(const std::string& path, const std::string& header) {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 CheckpointJournal::CheckpointJournal(const std::string& dir,
                                      const std::string& experiment,

@@ -55,9 +55,6 @@ struct JournalEntry {
                         ///< only; empty when observability was off).
 };
 
-/// FNV-1a 64-bit, the per-line checksum of the v2 journal format.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view text);
-
 class CheckpointJournal {
  public:
   /// Open the journal for the sweep identified by `header` inside `dir`

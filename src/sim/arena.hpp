@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -9,7 +10,8 @@
 
 #include "sim/check.hpp"
 
-// sim::Arena — a per-superstep bump allocator for router scratch.
+// sim::Arena — a per-superstep bump allocator for router scratch and
+// runtime payloads.
 //
 // The simulator hot loop (charge / exchange / barrier) must be
 // allocation-free in steady state: a router routes thousands of patterns per
@@ -17,8 +19,9 @@
 // machines grow past the paper's 1996 sizes. Routers own an Arena, call
 // reset() at the top of route(), and carve typed spans out of it for
 // whatever per-call scratch they need (in-flight message lists, heap
-// storage, cursor tables). reset() is O(1) and keeps every previously grown
-// chunk, so after the first few calls the loop allocates nothing.
+// storage, cursor tables); a runtime::Exchange stages its payloads in one.
+// reset() is O(1) and keeps every previously grown chunk, so after the
+// first few calls the loop allocates nothing.
 //
 // Only trivially destructible element types are allowed (nothing is ever
 // destroyed, only forgotten), and spans handed out stay valid until the next
@@ -85,9 +88,15 @@ class Arena {
       ++cursor_chunk_;
       cursor_used_ = 0;
     }
-    // Grow: geometric chunk sizing, never smaller than the request.
-    std::size_t size = chunks_.empty() ? first_chunk_bytes_
-                                       : chunks_.back().size * 2;
+    // Grow: geometric chunk sizing up to kMaxGrowBytes, never smaller than
+    // the request. The cap keeps chunks the size of ordinary heap blocks:
+    // doubling without one, an arena that stages megabytes (a word-mode
+    // runtime Exchange) interleaves ever larger chunks with its
+    // CommPattern's own doubling, and the fragmented heap raised the peak
+    // RSS of three back-to-back CM-5 matmuls (figbench fig16) by a tenth.
+    std::size_t size =
+        chunks_.empty() ? first_chunk_bytes_
+                        : std::min(chunks_.back().size * 2, kMaxGrowBytes);
     if (size < bytes + align) size = bytes + align;
     chunks_.push_back(Chunk{std::make_unique<std::byte[]>(size), size});
     cursor_chunk_ = chunks_.size() - 1;
@@ -99,6 +108,8 @@ class Arena {
     cursor_used_ = aligned + bytes;
     return chunks_.back().data.get() + aligned;
   }
+
+  static constexpr std::size_t kMaxGrowBytes = std::size_t{1} << 18;  // 256 KiB
 
   std::size_t first_chunk_bytes_;
   std::vector<Chunk> chunks_;

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -8,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -50,6 +52,29 @@ std::unique_ptr<machines::Machine> small_machine(machines::Platform p) {
   const int procs = p == machines::Platform::MasPar ? 64 : 16;
   return machines::make_machine({.platform = p, .procs = procs, .seed = 7});
 }
+
+/// A scratch directory named for the test and this process, removed when
+/// the test ends: two suites running at once (say, a release and a
+/// sanitizer build) never share journal files, and no run leaves any behind.
+class ScopedTempDir {
+ public:
+  explicit ScopedTempDir(const std::string& name)
+      : path_(testing::TempDir() + "pcm-fault-test-" + name + "-" +
+              std::to_string(::getpid())) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScopedTempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// One neighbour exchange (every PE sends 4 words to its successor),
 /// followed by a barrier. Returns the total elements delivered.
@@ -490,9 +515,8 @@ TEST(Resilience, RetriesReseedDeterministically) {
 }
 
 TEST(Resilience, JournalRoundTripsEntriesExactly) {
-  const std::string dir =
-      testing::TempDir() + "pcm-fault-test-journal-roundtrip";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-roundtrip");
+  const std::string& dir = tmp.path();
   const exec::JournalEntry entries[] = {
       {0, true, 123456.789012345678, 1, "", "", ""},
       {3, true, 1e-9, 2, "", "", ""},
@@ -520,8 +544,8 @@ TEST(Resilience, JournalRoundTripsEntriesExactly) {
 }
 
 TEST(Resilience, JournalIgnoresTornFinalLine) {
-  const std::string dir = testing::TempDir() + "pcm-fault-test-journal-torn";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-torn");
+  const std::string& dir = tmp.path();
   std::string path;
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
@@ -542,9 +566,8 @@ TEST(Resilience, JournalIgnoresTornFinalLine) {
 }
 
 TEST(Resilience, JournalRefusesAForeignHeader) {
-  const std::string dir =
-      testing::TempDir() + "pcm-fault-test-journal-foreign";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-foreign");
+  const std::string& dir = tmp.path();
   std::string path;
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
@@ -600,9 +623,8 @@ TEST(Resilience, RetriedCellGetsAFreshWatchdogBudget) {
 }
 
 TEST(Resilience, JournalSkipsAndReportsCorruptInteriorLines) {
-  const std::string dir =
-      testing::TempDir() + "pcm-fault-test-journal-corrupt";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-corrupt");
+  const std::string& dir = tmp.path();
   std::string path;
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
@@ -633,9 +655,8 @@ TEST(Resilience, JournalSkipsAndReportsCorruptInteriorLines) {
 }
 
 TEST(Resilience, JournalRefusesATruncatedHeader) {
-  const std::string dir =
-      testing::TempDir() + "pcm-fault-test-journal-trunchdr";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-trunchdr");
+  const std::string& dir = tmp.path();
   std::string path;
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
@@ -652,8 +673,8 @@ TEST(Resilience, JournalRefusesATruncatedHeader) {
 }
 
 TEST(Resilience, JournalDuplicateCellLaterWins) {
-  const std::string dir = testing::TempDir() + "pcm-fault-test-journal-dup";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-dup");
+  const std::string& dir = tmp.path();
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     j.append({4, false, 0.0, 1, "exception", "first try", ""});
@@ -668,8 +689,8 @@ TEST(Resilience, JournalDuplicateCellLaterWins) {
 }
 
 TEST(Resilience, LegacyV1JournalStillResumesAndStaysV1) {
-  const std::string dir = testing::TempDir() + "pcm-fault-test-journal-v1";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-v1");
+  const std::string& dir = tmp.path();
   // Find the path the journal would use, then hand-write a v1 file there.
   std::string path;
   {
@@ -704,8 +725,8 @@ TEST(Resilience, LegacyV1JournalStillResumesAndStaysV1) {
 }
 
 TEST(Resilience, JournalCarriesTheObsTokenThroughARoundTrip) {
-  const std::string dir = testing::TempDir() + "pcm-fault-test-journal-obs";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("journal-obs");
+  const std::string& dir = tmp.path();
   exec::JournalEntry e;
   e.cell = 9;
   e.ok = true;
@@ -722,8 +743,8 @@ TEST(Resilience, JournalCarriesTheObsTokenThroughARoundTrip) {
 }
 
 TEST(Resilience, CheckpointedSweepResumesBitIdentically) {
-  const std::string dir = testing::TempDir() + "pcm-fault-test-resume";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("resume");
+  const std::string& dir = tmp.path();
   auto spec = faulted_sweep_spec(2);
   spec.checkpoint_dir = dir;
   const auto first = exec::run_sweep(spec);
@@ -770,8 +791,8 @@ TEST(Resilience, ResumeRebuildsLedgerAndMetricsWithoutRerunning) {
     ObsOn() { obs::set_enabled(true); }
     ~ObsOn() { obs::set_enabled(was); }
   } obs_on;
-  const std::string dir = testing::TempDir() + "pcm-fault-test-resume-all";
-  std::filesystem::remove_all(dir);
+  const ScopedTempDir tmp("resume-all");
+  const std::string& dir = tmp.path();
   auto spec = poisoned_grid_spec();
   spec.checkpoint_dir = dir;
   const auto first = exec::run_sweep(spec);

@@ -20,8 +20,8 @@ void CommPattern::add(int src, int dst, int bytes) {
   stage_.push_back(Message{src, dst, bytes});
   if (send_count_[static_cast<std::size_t>(src)]++ == 0) senders_.push_back(src);
   if (recv_count_[static_cast<std::size_t>(dst)]++ == 0) {
-    if (!receivers_.empty() && dst < receivers_.back()) receivers_sorted_ = false;
     receivers_.push_back(dst);
+    receivers_sorted_ = false;
   }
   total_bytes_ += bytes;
   canonical_ready_ = false;

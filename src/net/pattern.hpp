@@ -131,7 +131,7 @@ class CommPattern {
   // Lazily-canonicalised caches (see class comment re: thread safety).
   mutable std::vector<int> senders_;    ///< first-touch order, sorted lazily.
   mutable std::vector<int> receivers_;  ///< first-touch order, sorted lazily.
-  mutable bool receivers_sorted_ = true;  ///< receivers_ ascending?
+  mutable bool receivers_sorted_ = true;  ///< sorted since the last add?
   mutable std::vector<Message> sorted_;        ///< counting-sorted stage_.
   mutable std::vector<std::size_t> begin_of_;  ///< CSR offsets, active only.
   mutable std::vector<std::size_t> cursor_;    ///< counting-sort scratch.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <type_traits>
@@ -74,7 +75,6 @@ class Exchange {
     const std::span<T> copy = arena_.alloc<T>(data.size());
     std::memcpy(copy.data(), data.data(), data.size_bytes());
     staged_.push_back(Staged{src, dst, tag, qpos, copy.data(), copy.size()});
-    staged_elems_ += data.size();
   }
 
   void send_value(int src, int dst, T value, int tag = 0) {
@@ -103,8 +103,10 @@ class Exchange {
       // before packet faults): complements the machine's router-level
       // packet/byte counters.
       const obs::Builtin& b = obs::builtin();
+      std::uint64_t payload = 0;
+      for (const auto& s : staged_) payload += s.len * sizeof(T);
       machine_.metrics().add(b.parcels, staged_.size());
-      machine_.metrics().add(b.payload_bytes, staged_elems_ * sizeof(T));
+      machine_.metrics().add(b.payload_bytes, payload);
     }
     if (machine_.injector() != nullptr) {
       apply_faults(auditing ? &injected : nullptr);
@@ -114,7 +116,6 @@ class Exchange {
     // no machine pointer, so runs without the detector cannot dangle.
     box_.refill(staged_, race::enabled() ? &machine_ : nullptr);
     staged_.clear();
-    staged_elems_ = 0;
     pattern_.clear();
     if (auditing) {
       audit::EndpointBytes delivered;
@@ -240,7 +241,6 @@ class Exchange {
   net::CommPattern pattern_;
   sim::Arena arena_;
   std::vector<Staged> staged_;
-  std::size_t staged_elems_ = 0;
   Mailbox<T> box_;
   std::vector<std::size_t> drop_at_;  ///< Fault-path scratch.
   std::vector<std::size_t> dup_at_;   ///< Fault-path scratch.

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string_view>
+
+#include "calibrate/local_perm.hpp"
+#include "calibrate/microbench.hpp"
 #include "sim/clockset.hpp"
 #include "sim/rng.hpp"
 
@@ -127,6 +132,94 @@ TEST(DeltaRouterSmall, WorksWith256PEs) {
   EXPECT_EQ(router.stages(), 2);
   const auto pat = patterns::bit_flip(256, 3, 1, 4);
   EXPECT_EQ(router.wave_count(pat), 16);
+}
+
+// The wave allocator's exact output on the Section 3 calibration patterns,
+// pinned so that a faster allocator must keep probe order, conflict counting
+// and wave durations bit for bit. Each pattern is rebuilt from its own seed.
+CommPattern pinned_pattern(std::string_view name, int procs) {
+  sim::Rng rng(0x5eedULL + static_cast<std::uint64_t>(procs));
+  if (name == "one-h-1") return calibrate::one_h_relation(rng, procs, 1, 4);
+  if (name == "one-h-8") return calibrate::one_h_relation(rng, procs, 8, 4);
+  if (name == "one-h-64") return calibrate::one_h_relation(rng, procs, 64, 4);
+  if (name == "random-perm") {
+    return patterns::from_permutation(rng.permutation(procs), 4);
+  }
+  if (name == "partial-8") return calibrate::partial_permutation(rng, procs, 8, 4);
+  if (name == "partial-512") {
+    return calibrate::partial_permutation(rng, procs, 512, 4);
+  }
+  if (name == "local-perm") {
+    return calibrate::local_permutation(rng, procs, procs / 2, 64, 4);
+  }
+  return calibrate::multinode_scatter(procs, 512, 4);  // "mscat-512"
+}
+
+struct PinnedCost {
+  const char* pattern;
+  int procs;
+  bool ideal_crossbar;
+  int waves;
+  int conflicts;
+  double duration;
+};
+
+void expect_pinned(const PinnedCost& c) {
+  DeltaRouterParams params;
+  params.ideal_crossbar = c.ideal_crossbar;
+  DeltaRouter router(c.procs, params);
+  const auto pat = pinned_pattern(c.pattern, c.procs);
+  const auto cost = router.step_cost(pat);
+  char actual[160];
+  std::snprintf(actual, sizeof actual, "{\"%s\", %d, %s, %d, %d, %a}",
+                c.pattern, c.procs, c.ideal_crossbar ? "true" : "false",
+                cost.waves, cost.conflicts, cost.duration);
+  EXPECT_EQ(cost.waves, c.waves) << actual;
+  EXPECT_EQ(cost.conflicts, c.conflicts) << actual;
+  EXPECT_EQ(cost.duration, c.duration) << actual;
+  EXPECT_EQ(router.wave_count(pat), c.waves) << actual;
+}
+
+constexpr PinnedCost kPinned[] = {
+    // pattern, procs, ideal_crossbar, waves, conflicts, duration (us)
+    {"one-h-1", 1024, false, 42, 952, 0x1.6026666666662p+10},
+    {"one-h-8", 1024, false, 49, 1266, 0x1.97cccccccccc7p+10},
+    {"one-h-64", 1024, false, 132, 4534, 0x1.0ae99999999a5p+12},
+    {"random-perm", 1024, false, 45, 1015, 0x1.77ffffffffffbp+10},
+    {"partial-8", 1024, false, 1, 0, 0x1.a333333333333p+6},
+    {"partial-512", 1024, false, 26, 446, 0x1.c1e6666666664p+9},
+    {"local-perm", 1024, false, 19, 186, 0x1.529999999999ap+9},
+    {"mscat-512", 1024, false, 1587, 15703, 0x1.8ad73333333c9p+15},
+    {"one-h-1", 1024, true, 34, 535, 0x1.208cccccccccap+10},
+    {"one-h-8", 1024, true, 47, 919, 0x1.87e6666666661p+10},
+    {"one-h-64", 1024, true, 132, 4449, 0x1.0ae99999999a5p+12},
+    {"random-perm", 1024, true, 36, 530, 0x1.307333333333p+10},
+    {"partial-8", 1024, true, 1, 0, 0x1.a333333333333p+6},
+    {"partial-512", 1024, true, 19, 239, 0x1.529999999999ap+9},
+    {"local-perm", 1024, true, 19, 186, 0x1.529999999999ap+9},
+    {"mscat-512", 1024, true, 661, 169, 0x1.49933333332ecp+14},
+    {"one-h-1", 16384, false, 63, 21117, 0x1.038ccccccccc8p+11},
+    {"one-h-8", 16384, false, 78, 24980, 0x1.3f2cccccccccep+11},
+    {"one-h-64", 16384, false, 199, 65497, 0x1.901333333334cp+12},
+    {"random-perm", 16384, false, 62, 21245, 0x1.ff2666666665ep+10},
+    {"partial-8", 16384, false, 1, 0, 0x1.a333333333333p+6},
+    {"partial-512", 16384, false, 6, 257, 0x1.07ccccccccccdp+8},
+    {"local-perm", 16384, false, 25, 2893, 0x1.b1ffffffffffep+9},
+    {"mscat-512", 16384, false, 2048, 151091, 0x1.fd5ecccccce1bp+15},
+    {"one-h-1", 16384, true, 37, 8352, 0x1.3866666666663p+10},
+    {"one-h-8", 16384, true, 74, 16731, 0x1.2f46666666666p+11},
+    {"one-h-64", 16384, true, 199, 64323, 0x1.901333333334cp+12},
+    {"random-perm", 16384, true, 39, 8365, 0x1.484ccccccccc9p+10},
+    {"partial-8", 16384, true, 1, 0, 0x1.a333333333333p+6},
+    {"partial-512", 16384, true, 5, 83, 0x1.dp+7},
+    {"local-perm", 16384, true, 25, 2893, 0x1.b1ffffffffffep+9},
+    {"mscat-512", 16384, true, 529, 18, 0x1.07fccccccccap+14},
+    {"random-perm", 16, false, 16, 0, 0x1.22e6666666668p+9},
+    {"one-h-8", 16, false, 16, 0, 0x1.22e6666666668p+9},
+};
+
+TEST(DeltaRouterPinned, CalibrationPatternsKeepTheirExactCost) {
+  for (const auto& c : kPinned) expect_pinned(c);
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string_view>
+
+#include "calibrate/microbench.hpp"
 #include "net/pattern.hpp"
 #include "sim/clockset.hpp"
 #include "sim/rng.hpp"
@@ -136,6 +142,100 @@ TEST(MeshRouterConfig, SmallMeshWorks) {
     return p;
   }());
   EXPECT_EQ(router.hops(0, 15), 6);
+}
+
+// Per-node clocks after routing, pinned bit for bit so that a faster
+// departure or receive ordering must reproduce the exact link claims and
+// the exact order of the receive jitter draws.
+MeshRouterParams mesh_params(int width, int height) {
+  MeshRouterParams p;
+  p.width = width;
+  p.height = height;
+  return p;
+}
+
+CommPattern pinned_mesh_pattern(std::string_view name, int procs,
+                                sim::Rng& rng) {
+  if (name == "h-relation-64") {
+    return calibrate::full_h_relation(rng, procs, 64, 4);
+  }
+  if (name == "random-dest-64") {
+    return calibrate::random_destination_relation(rng, procs, 64, 4);
+  }
+  if (name == "mscat-256") return calibrate::multinode_scatter(procs, 256, 4);
+  if (name == "gather-64") {
+    CommPattern pat(procs);  // every other node streams 64 messages at node 0
+    for (int p = 1; p < procs; ++p) {
+      for (int i = 0; i < 64; ++i) pat.add(p, 0, 4);
+    }
+    return pat;
+  }
+  CommPattern pat(procs);  // "mixed-sizes": h = 16, 4..512 bytes
+  for (int p = 0; p < procs; ++p) {
+    for (int i = 0; i < 16; ++i) {
+      pat.add(p, static_cast<int>(rng.next_below(static_cast<std::uint64_t>(procs))),
+              4 << rng.next_below(8));
+    }
+  }
+  return pat;
+}
+
+/// FNV-1a over every node's clock bits.
+std::uint64_t clock_digest(const sim::ClockSet& clocks) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int p = 0; p < clocks.size(); ++p) {
+    h ^= std::bit_cast<std::uint64_t>(clocks.at(p));
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct PinnedMesh {
+  const char* pattern;
+  int width;
+  int height;
+  bool free_sends;  ///< o_send = copy_send = 0: every departure ties.
+  std::uint64_t digest;
+};
+
+void expect_pinned(const PinnedMesh& c) {
+  const int procs = c.width * c.height;
+  auto params = mesh_params(c.width, c.height);
+  if (c.free_sends) params.o_send = params.copy_send = 0.0;
+  MeshRouter router(procs, params, 5);
+  sim::Rng rng(0x3e5eULL + static_cast<std::uint64_t>(procs));
+  const auto pat = pinned_mesh_pattern(c.pattern, procs, rng);
+  sim::ClockSet clocks(procs);
+  if (!c.free_sends) {
+    // Staggered starts; the second route queues behind the first.
+    for (int p = 0; p < procs; ++p) clocks.set(p, rng.next_double() * 1000.0);
+  }
+  router.route(pat, clocks, rng);
+  router.route(pat, clocks, rng);
+  const std::uint64_t digest = clock_digest(clocks);
+  char actual[160];
+  std::snprintf(actual, sizeof actual, "{\"%s\", %d, %d, %s, 0x%016llxull}",
+                c.pattern, c.width, c.height, c.free_sends ? "true" : "false",
+                static_cast<unsigned long long>(digest));
+  EXPECT_EQ(digest, c.digest) << actual;
+}
+
+constexpr PinnedMesh kPinnedMesh[] = {
+    // pattern, width, height, free_sends, clock digest
+    {"h-relation-64", 8, 8, false, 0x68970fba3104eee9ull},
+    {"random-dest-64", 8, 8, false, 0x0a697f8eb80cb477ull},
+    {"mscat-256", 8, 8, false, 0x9d02330709a90e4eull},
+    {"gather-64", 8, 8, false, 0xbf877e013217f91dull},
+    {"mixed-sizes", 8, 8, true, 0x77d75c23eaaee744ull},
+    {"h-relation-64", 8, 6, false, 0x8f2a4f16b066c39eull},
+    {"random-dest-64", 8, 6, false, 0x6d34a72fdd83f84eull},
+    {"mscat-256", 8, 6, false, 0x4955e9859857a2c3ull},
+    {"gather-64", 8, 6, false, 0x2ad3ece79a58e5b9ull},
+    {"mixed-sizes", 8, 6, true, 0xf732bffba6d3bdfaull},
+};
+
+TEST(MeshRouterPinned, CalibrationPatternsKeepTheirExactClocks) {
+  for (const auto& c : kPinnedMesh) expect_pinned(c);
 }
 
 }  // namespace

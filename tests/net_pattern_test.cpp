@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "sim/rng.hpp"
 
 namespace pcm::net {
@@ -223,6 +227,54 @@ TEST(CommPattern, CanonicalOrderIsStableWithinSender) {
   EXPECT_EQ(msgs[3], (Message{3, 5, 8}));
   ASSERT_EQ(p.sends_of(0).size(), 2u);
   EXPECT_EQ(p.sends_of(3)[1].dst, 5);
+}
+
+// Staging senders out of order must canonicalise to exactly what in-order
+// staging gives, whether the senders are dense (every PE) or sparse (P/64).
+// Each sender queues three messages, staged round by round, so queue order
+// within a sender is part of what must survive.
+void expect_shuffled_staging_matches_in_order(int procs, int senders) {
+  sim::Rng rng(static_cast<std::uint64_t>(procs + senders));
+  auto active = rng.sample_without_replacement(procs, senders);
+  std::vector<std::vector<Message>> queues(static_cast<std::size_t>(procs));
+  for (const int s : active) {
+    for (int i = 0; i < 3; ++i) {
+      queues[static_cast<std::size_t>(s)].push_back(Message{
+          s, static_cast<int>(rng.next_below(static_cast<std::uint64_t>(procs))),
+          4 + 4 * i});
+    }
+  }
+  CommPattern in_order(procs);
+  for (const auto& q : queues) {
+    for (const Message& m : q) in_order.add(m);
+  }
+  CommPattern shuffled(procs);
+  for (int i = 0; i < 3; ++i) {
+    rng.shuffle(std::span<int>(active));
+    for (const int s : active) {
+      shuffled.add(queues[static_cast<std::size_t>(s)][static_cast<std::size_t>(i)]);
+    }
+  }
+  ASSERT_EQ(shuffled.size(), in_order.size());
+  EXPECT_TRUE(std::ranges::equal(shuffled.messages(), in_order.messages()));
+  EXPECT_TRUE(std::ranges::equal(shuffled.senders(), in_order.senders()));
+  EXPECT_TRUE(std::ranges::is_sorted(shuffled.senders()));
+  EXPECT_EQ(static_cast<int>(shuffled.senders().size()), senders);
+  for (int p = 0; p < procs; ++p) {
+    ASSERT_TRUE(std::ranges::equal(shuffled.sends_of(p), in_order.sends_of(p)))
+        << "sender " << p;
+  }
+  EXPECT_EQ(shuffled.hash(), in_order.hash());
+}
+
+TEST(CommPattern, ShuffledDenseStagingMatchesInOrder) {
+  expect_shuffled_staging_matches_in_order(1024, 1024);
+  expect_shuffled_staging_matches_in_order(65536, 65536);
+}
+
+TEST(CommPattern, ShuffledSparseStagingMatchesInOrder) {
+  expect_shuffled_staging_matches_in_order(1024, 1024 / 64);
+  expect_shuffled_staging_matches_in_order(65536, 65536 / 64);
 }
 
 TEST(Patterns, BitFlipIsFullPermutationPerRound) {

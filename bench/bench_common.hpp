@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,6 +20,7 @@
 #include "core/series.hpp"
 #include "core/validation.hpp"
 #include "exec/sweep.hpp"
+#include "machines/machine.hpp"
 #include "report/table.hpp"
 #include "sim/stats.hpp"
 
@@ -65,6 +67,8 @@ struct Env {
   std::string checkpoint;   ///< Journal directory (empty = no journal).
   bool resume = false;      ///< Resume from the checkpoint journal.
   std::string trace_out;    ///< Chrome trace-event JSON path (empty = none).
+  const char* argv0 = "";   ///< For usage errors found after parsing.
+  std::string_view takes;   ///< The flags this bench takes (see parse_env).
 };
 
 /// The flags a bench that runs its sweep through apply_env takes, in the
@@ -168,6 +172,8 @@ inline bool takes_flag(std::string_view name, std::string_view takes) {
 /// sweep bench). Any other flag, and any malformed value, is fatal.
 inline Env parse_env(int argc, char** argv, std::string_view takes) {
   Env env;
+  env.argv0 = argv[0];
+  env.takes = takes;
   const auto fail = [&](const std::string& error) {
     usage(argv[0], takes, error);
   };
@@ -240,6 +246,30 @@ inline Env parse_env(int argc, char** argv, std::string_view takes) {
     fail("--resume requires --checkpoint=DIR");
   }
   return env;
+}
+
+/// Build the bench's machine. A --procs=P its network cannot be built at
+/// (the MasPar's delta network needs whole 16-PE clusters, a power of 4 of
+/// them) exits 2 naming the flag, like any other bad flag value.
+inline std::unique_ptr<machines::Machine> make_machine(
+    const Env& env, const machines::MachineSpec& spec) {
+  try {
+    return machines::make_machine(spec);
+  } catch (const std::invalid_argument& e) {
+    usage(env.argv0, env.takes,
+          "--procs=" + std::to_string(spec.resolved_procs()) + ": " + e.what());
+  }
+}
+
+/// Exit 2 naming --procs unless `check` (a kernel's size rule that throws
+/// std::invalid_argument, e.g. algos::check_bitonic_procs) accepts `procs`.
+inline void require_procs(const Env& env, void (*check)(int), int procs) {
+  try {
+    check(procs);
+  } catch (const std::invalid_argument& e) {
+    usage(env.argv0, env.takes,
+          "--procs=" + std::to_string(procs) + ": " + e.what());
+  }
 }
 
 /// Fill the engine-facing fields of a SweepSpec from the parsed flags: the

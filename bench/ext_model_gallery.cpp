@@ -83,17 +83,17 @@ int main(int argc, char** argv) {
   report::banner(std::cout, "EXT: five-model prediction gallery",
                  "PRAM underestimates grossly; word-message models "
                  "overestimate block workloads; MP-BPRAM ~ LogGP (footnote 2)");
-  auto maspar = machines::make_machine({.platform = machines::Platform::MasPar,
-                                        .procs = env.procs,
-                                        .seed = env.seed != 0 ? env.seed : 1401});
+  auto maspar = bench::make_machine(env, {.platform = machines::Platform::MasPar,
+                                          .procs = env.procs,
+                                          .seed = env.seed != 0 ? env.seed : 1401});
   gallery(*maspar, 256);
-  auto gcel = machines::make_machine({.platform = machines::Platform::GCel,
-                                      .procs = env.procs,
-                                      .seed = env.seed != 0 ? env.seed : 1402});
+  auto gcel = bench::make_machine(env, {.platform = machines::Platform::GCel,
+                                        .procs = env.procs,
+                                        .seed = env.seed != 0 ? env.seed : 1402});
   gallery(*gcel, 1024);
-  auto cm5 = machines::make_machine({.platform = machines::Platform::CM5,
-                                     .procs = env.procs,
-                                     .seed = env.seed != 0 ? env.seed : 1403});
+  auto cm5 = bench::make_machine(env, {.platform = machines::Platform::CM5,
+                                       .procs = env.procs,
+                                       .seed = env.seed != 0 ? env.seed : 1403});
   gallery(*cm5, 1024);
   return 0;
 }

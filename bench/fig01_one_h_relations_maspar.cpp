@@ -10,9 +10,9 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv, "procs seed trials");
-  auto m = machines::make_machine({.platform = machines::Platform::MasPar,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1101});
+  auto m = bench::make_machine(env, {.platform = machines::Platform::MasPar,
+                                     .procs = env.procs,
+                                     .seed = env.seed != 0 ? env.seed : 1101});
   const int trials = env.trials > 0 ? env.trials : (env.quick ? 20 : 100);
 
   std::vector<int> hs{1, 2, 4, 8, 12, 16, 24, 32, 48, 64};

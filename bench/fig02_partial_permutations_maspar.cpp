@@ -10,9 +10,9 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv, "procs seed trials");
-  auto m = machines::make_machine({.platform = machines::Platform::MasPar,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1102});
+  auto m = bench::make_machine(env, {.platform = machines::Platform::MasPar,
+                                     .procs = env.procs,
+                                     .seed = env.seed != 0 ? env.seed : 1102});
   const int trials = env.trials > 0 ? env.trials : (env.quick ? 10 : 50);
 
   std::vector<int> actives{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 768, 1024};

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const machines::MachineSpec mspec{.platform = machines::Platform::MasPar,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1105};
-  auto m = machines::make_machine(mspec);
+  auto m = bench::make_machine(env, mspec);
 
   calibrate::CalibrationOptions copts;
   copts.trials = env.quick ? 5 : 20;

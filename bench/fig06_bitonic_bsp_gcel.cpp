@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   const machines::MachineSpec mspec{.platform = machines::Platform::GCel,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1106};
-  auto m = machines::make_machine(mspec);
+  auto m = bench::make_machine(env, mspec);
+  bench::require_procs(env, algos::check_bitonic_procs, m->procs());
 
   calibrate::CalibrationOptions copts;
   copts.trials = env.quick ? 3 : 10;

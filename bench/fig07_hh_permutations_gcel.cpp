@@ -15,9 +15,9 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv, "procs seed trials");
-  auto m = machines::make_machine({.platform = machines::Platform::GCel,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1107});
+  auto m = bench::make_machine(env, {.platform = machines::Platform::GCel,
+                                     .procs = env.procs,
+                                     .seed = env.seed != 0 ? env.seed : 1107});
   const int trials = env.trials > 0 ? env.trials : (env.quick ? 3 : 8);
 
   const std::vector<int> hs = env.quick

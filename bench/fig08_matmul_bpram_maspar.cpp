@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const machines::MachineSpec mspec{.platform = machines::Platform::MasPar,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1108};
-  auto m = machines::make_machine(mspec);
+  auto m = bench::make_machine(env, mspec);
   const int q = algos::matmul_q(*m);
 
   calibrate::CalibrationOptions copts;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const machines::MachineSpec mspec{.platform = machines::Platform::CM5,
                                     .procs = env.procs,
                                     .seed = env.seed != 0 ? env.seed : 1115};
-  auto m = machines::make_machine(mspec);
+  auto m = bench::make_machine(env, mspec);
 
   calibrate::CalibrationOptions copts;
   copts.trials = env.quick ? 3 : 10;

@@ -14,9 +14,9 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv, "procs seed");
-  auto m = machines::make_machine({.platform = machines::Platform::CM5,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1116});
+  auto m = bench::make_machine(env, {.platform = machines::Platform::CM5,
+                                     .procs = env.procs,
+                                     .seed = env.seed != 0 ? env.seed : 1116});
 
   const std::vector<int> ns = env.quick ? std::vector<int>{128, 256}
                                         : std::vector<int>{64, 128, 256, 512, 1024};

@@ -15,9 +15,9 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv, "procs seed");
-  auto m = machines::make_machine({.platform = machines::Platform::MasPar,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1117});
+  auto m = bench::make_machine(env, {.platform = machines::Platform::MasPar,
+                                     .procs = env.procs,
+                                     .seed = env.seed != 0 ? env.seed : 1117});
 
   const std::vector<long> ms = env.quick ? std::vector<long>{64, 256}
                                          : std::vector<long>{16, 64, 256, 1024};

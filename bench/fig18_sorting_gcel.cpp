@@ -18,9 +18,10 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv, "procs seed");
-  auto m = machines::make_machine({.platform = machines::Platform::GCel,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1118});
+  auto m = bench::make_machine(env, {.platform = machines::Platform::GCel,
+                                     .procs = env.procs,
+                                     .seed = env.seed != 0 ? env.seed : 1118});
+  bench::require_procs(env, algos::check_bitonic_procs, m->procs());
   const int S = 64;  // oversampling ratio
 
   const std::vector<long> ms = env.quick

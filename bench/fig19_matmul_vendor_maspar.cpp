@@ -15,9 +15,9 @@
 int main(int argc, char** argv) {
   using namespace pcm;
   const auto env = bench::parse_env(argc, argv, "procs seed");
-  auto m = machines::make_machine({.platform = machines::Platform::MasPar,
-                                   .procs = env.procs,
-                                   .seed = env.seed != 0 ? env.seed : 1119});
+  auto m = bench::make_machine(env, {.platform = machines::Platform::MasPar,
+                                     .procs = env.procs,
+                                     .seed = env.seed != 0 ? env.seed : 1119});
 
   const std::vector<int> ns = env.quick ? std::vector<int>{300}
                                         : std::vector<int>{100, 300, 500, 700};

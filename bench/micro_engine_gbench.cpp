@@ -40,6 +40,19 @@ void BM_DeltaRouterMemoisedStep(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaRouterMemoisedStep);
 
+/// The destination-conflict-heavy miss path: a fresh 1-64 relation (1,024
+/// senders, 16 destinations) through the wave allocator, no memo.
+void BM_DeltaRouterOneHRelation(benchmark::State& state) {
+  net::DeltaRouter router(1024);
+  sim::Rng rng(7);
+  const auto pat = calibrate::one_h_relation(rng, 1024, 64, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(router.wave_count(pat));
+  }
+  state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_DeltaRouterOneHRelation);
+
 void BM_MeshRouterHRelation(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));
   net::MeshRouter router(64);
@@ -55,6 +68,25 @@ void BM_MeshRouterHRelation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(pat.size()));
 }
 BENCHMARK(BM_MeshRouterHRelation)->Arg(8)->Arg(64);
+
+/// The hot receiver: 63 senders stream 512 messages each at node 0.
+void BM_MeshRouterGather(benchmark::State& state) {
+  net::MeshRouter router(64);
+  sim::Rng rng(8);
+  net::CommPattern pat(64);
+  for (int p = 1; p < 64; ++p) {
+    for (int i = 0; i < 512; ++i) pat.add(p, 0, 4);
+  }
+  sim::ClockSet clocks(64);
+  for (auto _ : state) {
+    router.reset();
+    clocks.reset();
+    router.route(pat, clocks, rng);
+    benchmark::DoNotOptimize(clocks.at(0));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(pat.size()));
+}
+BENCHMARK(BM_MeshRouterGather);
 
 void BM_FatTreeHRelation(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));
@@ -174,6 +206,24 @@ void BM_PatternBuildPermutation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * procs);
 }
 BENCHMARK(BM_PatternBuildPermutation)->Arg(1024)->Arg(65536);
+
+/// Canonicalisation of a pattern whose every sender was staged in shuffled
+/// order (the calibration generators' 1-h relations): stage, then
+/// messages().
+void BM_PatternCanonicalShuffled(benchmark::State& state) {
+  const int procs = static_cast<int>(state.range(0));
+  sim::Rng rng(12);
+  const auto order = rng.permutation(procs);
+  const auto perm = rng.permutation(procs);
+  net::CommPattern pat(procs);
+  for (auto _ : state) {
+    pat.clear();
+    for (const int p : order) pat.add(p, perm[static_cast<std::size_t>(p)], 4);
+    benchmark::DoNotOptimize(pat.messages().data());
+  }
+  state.SetItemsProcessed(state.iterations() * procs);
+}
+BENCHMARK(BM_PatternCanonicalShuffled)->Arg(1024)->Arg(65536);
 
 void BM_RadixSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -25,17 +25,17 @@ int main(int argc, char** argv) {
     models::MachineModelParams paper;
   };
   Row rows[3] = {
-      {machines::make_machine({.platform = machines::Platform::MasPar,
-                               .procs = env.procs,
-                               .seed = env.seed != 0 ? env.seed : 1001}),
+      {bench::make_machine(env, {.platform = machines::Platform::MasPar,
+                                 .procs = env.procs,
+                                 .seed = env.seed != 0 ? env.seed : 1001}),
        models::table1::maspar()},
-      {machines::make_machine({.platform = machines::Platform::GCel,
-                               .procs = env.procs,
-                               .seed = env.seed != 0 ? env.seed : 1002}),
+      {bench::make_machine(env, {.platform = machines::Platform::GCel,
+                                 .procs = env.procs,
+                                 .seed = env.seed != 0 ? env.seed : 1002}),
        models::table1::gcel()},
-      {machines::make_machine({.platform = machines::Platform::CM5,
-                               .procs = env.procs,
-                               .seed = env.seed != 0 ? env.seed : 1003}),
+      {bench::make_machine(env, {.platform = machines::Platform::CM5,
+                                 .procs = env.procs,
+                                 .seed = env.seed != 0 ? env.seed : 1003}),
        models::table1::cm5()},
   };
 

@@ -164,7 +164,9 @@ std::unique_ptr<machines::Machine> make_machine_named(const std::string& name,
     auto spec = machines::parse_machine_spec(name);
     if (name.find("seed=") == std::string::npos) spec.seed = seed;
     return machines::make_machine(spec);
-  } catch (const std::invalid_argument&) {
+  } catch (const std::invalid_argument& e) {
+    // A malformed spec, or a size the machine's network cannot be built at.
+    std::cerr << "pcmtool: " << e.what() << "\n";
     return nullptr;
   }
 }
@@ -215,7 +217,8 @@ int usage() {
          "              --trace-out=FILE  write a Chrome trace-event JSON of\n"
          "                       the command's run (open in Perfetto or\n"
          "                       chrome://tracing)\n"
-         "exit codes: 0 ok, 1 wrong output, 2 usage, 3 invariant violation\n"
+         "exit codes: 0 ok, 1 wrong output, 2 usage (or a machine size the\n"
+         "            command cannot run on), 3 invariant violation\n"
          "            (AuditError), 4 superstep race (RaceError), 5 other\n"
          "            runtime failure\n";
   return 2;
@@ -445,6 +448,12 @@ int main(int argc, char** argv) {
   } catch (const race::RaceError& e) {
     std::cerr << "pcmtool: race: " << e.what() << "\n";
     return 4;
+  } catch (const std::invalid_argument& e) {
+    // The command's kernel cannot run at this machine size (bitonic sort
+    // needs a power of two): a usage error, not a runtime failure.
+    std::cerr << "pcmtool: " << o.command << " on " << m->name() << ": "
+              << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "pcmtool: " << o.command << " failed on " << m->name()
               << " at superstep " << m->superstep() << ": " << e.what() << "\n";

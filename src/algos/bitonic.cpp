@@ -30,11 +30,18 @@ int ilog2(int v) {
 
 }  // namespace
 
+void check_bitonic_procs(int procs) {
+  if (procs <= 0 || (procs & (procs - 1)) != 0) {
+    throw std::invalid_argument("bitonic: procs=" + std::to_string(procs) +
+                                " is not a power of two");
+  }
+}
+
 void bitonic_core(machines::Machine& m,
                   std::vector<std::vector<std::uint32_t>>& runs,
                   BitonicVariant v) {
   const int P = m.procs();
-  assert((P & (P - 1)) == 0 && "bitonic needs a power-of-two machine");
+  check_bitonic_procs(P);
   assert(static_cast<int>(runs.size()) == P);
   const long M = static_cast<long>(runs.front().size());
   for (const auto& r : runs) {
@@ -77,8 +84,9 @@ void bitonic_core(machines::Machine& m,
     } else if (v == BitonicVariant::BspSynchronized) {
       // The paper's fix: a barrier after each node has sent and received 256
       // messages — i.e. the M-message stream is chunked *within* the step.
-      for (long lo = 0; lo < M; lo += 256) {
-        const long hi = std::min<long>(M, lo + 256);
+      constexpr long kChunk = 256;
+      for (long lo = 0; lo < M; lo += kChunk) {
+        const long hi = std::min<long>(M, lo + kChunk);
         for (int p = 0; p < P; ++p) {
           const auto& run = runs[static_cast<std::size_t>(p)];
           ex.send(p, p ^ (1 << bit),
@@ -90,12 +98,17 @@ void bitonic_core(machines::Machine& m,
         for (int p = 0; p < P; ++p) {
           auto& incoming = partner_buf[static_cast<std::size_t>(p)];
           for (const auto& parcel : box.at(p)) {
-            std::copy(parcel.data.begin(), parcel.data.end(),
-                      incoming.begin() + parcel.tag);
+            // Clip to the parcel's own window [tag, min(tag + kChunk, M)): a
+            // duplicated word under a fault plan lengthens the parcel, and
+            // those extra words are appended after the body.
+            const long room = std::min<long>(M, parcel.tag + kChunk) - parcel.tag;
+            const auto words = parcel.data.first(std::min(
+                parcel.data.size(), static_cast<std::size_t>(room)));
+            std::copy(words.begin(), words.end(), incoming.begin() + parcel.tag);
           }
         }
         sent_since_barrier += hi - lo;
-        if (sent_since_barrier >= 256) {
+        if (sent_since_barrier >= kChunk) {
           m.barrier();
           sent_since_barrier = 0;
         }

@@ -42,6 +42,10 @@ BitonicResult run_bitonic(machines::Machine& m,
                           const std::vector<std::uint32_t>& keys,
                           BitonicVariant v);
 
+/// Throws std::invalid_argument unless `procs` is a power of two, the
+/// machine sizes bitonic sort can pair up.
+void check_bitonic_procs(int procs);
+
 /// In-place bitonic sort of per-processor runs (equal sizes) WITHOUT
 /// resetting the machine — the building block sample sort's splitter phase
 /// uses. Includes the local sort.

@@ -2,44 +2,60 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "audit/audit.hpp"
 
 namespace pcm::net {
 
-namespace {
-
-int int_log(int value, int base) {
-  int s = 0;
-  int v = 1;
-  while (v < value) {
-    v *= base;
-    ++s;
-  }
-  assert(v == value && "cluster count must be a power of the radix");
-  return s;
-}
-
-}  // namespace
-
 DeltaRouter::DeltaRouter(int procs, DeltaRouterParams params)
     : Router(procs), params_(params) {
-  assert(procs % params_.cluster_size == 0);
-  clusters_ = procs / params_.cluster_size;
-  stages_ = int_log(clusters_, params_.radix);
+  const int cs = params_.cluster_size;
+  const int r = params_.radix;
+  if (cs <= 0 || r < 2) {
+    throw std::invalid_argument(
+        "DeltaRouter: cluster_size must be > 0 and radix >= 2");
+  }
+  if (procs <= 0 || procs % cs != 0) {
+    throw std::invalid_argument(
+        "DeltaRouter: procs=" + std::to_string(procs) +
+        " is not a positive multiple of the cluster size " + std::to_string(cs));
+  }
+  clusters_ = procs / cs;
+  stages_ = 0;
+  long reach = 1;
+  while (reach < clusters_) {
+    reach *= r;
+    ++stages_;
+  }
+  if (reach != clusters_) {
+    throw std::invalid_argument(
+        "DeltaRouter: procs=" + std::to_string(procs) + " makes " +
+        std::to_string(clusters_) + " clusters of " + std::to_string(cs) +
+        " PEs, but the cluster count must be a power of the radix " +
+        std::to_string(r));
+  }
+  inner_stages_ = params_.ideal_crossbar ? 0 : std::max(stages_ - 1, 0);
+  // Omega-style unique path: after stage s the circuit sits on the address
+  // whose top (s+1) radix-digits come from the destination and whose
+  // remaining low digits, below low_span_[s], come from the source.
+  int span = clusters_;
+  for (int s = 0; s < stages_; ++s) {
+    span /= r;
+    low_span_.push_back(span);
+  }
 }
 
-int DeltaRouter::link_at(int a, int b, int stage) const {
-  // Omega-style unique path: after `stage` stages the circuit sits on the
-  // address whose top (stage+1) radix-digits come from the destination and
-  // whose remaining low digits come from the source.
-  const int r = params_.radix;
-  int high = 1;
-  for (int s = 0; s <= stage; ++s) high *= r;  // r^(stage+1)
-  const int low_span = clusters_ / high;       // r^(S-stage-1)
-  const int addr = (b / low_span) * low_span + (a % low_span);
-  return stage * clusters_ + addr;
+void DeltaRouter::cache_head(int cl, const Message& m) const {
+  const int dst = m.dst / params_.cluster_size;
+  const auto c = static_cast<std::size_t>(cl);
+  head_dst_[c] = dst;
+  int* links = head_links_.data() + c * static_cast<std::size_t>(inner_stages_);
+  for (int s = 0; s < inner_stages_; ++s) {
+    const int span = low_span_[static_cast<std::size_t>(s)];
+    links[s] = s * clusters_ + (dst / span) * span + (cl % span);
+  }
 }
 
 DeltaRouter::StepCost DeltaRouter::simulate(const CommPattern& pattern) const {
@@ -49,12 +65,23 @@ DeltaRouter::StepCost DeltaRouter::simulate(const CommPattern& pattern) const {
   const bool auditing = audit::enabled();
   const auto msgs = pattern.messages();
 
+  const auto n_clusters = static_cast<std::size_t>(clusters_);
+  const auto inner = static_cast<std::size_t>(inner_stages_);
+  if (head_.size() < n_clusters) {
+    head_.resize(n_clusters);
+    tail_.resize(n_clusters);
+    head_dst_.resize(n_clusters);
+    head_links_.resize(n_clusters * inner);
+    link_used_.resize(n_clusters * inner, 0);
+    dest_used_.resize(n_clusters, 0);
+  }
+
   // Per source-cluster FIFO of pending messages (head-of-line blocking: a
   // channel transmits its PEs' messages in issue order). Canonical order is
   // ascending by sender, so each cluster's FIFO is a contiguous subrange of
   // the canonical span — one walk builds every queue.
   active_.clear();
-  active_.reserve(static_cast<std::size_t>(clusters_));
+  active_.reserve(n_clusters);
   for (std::size_t i = 0; i < msgs.size();) {
     if (auditing && i > 0 && msgs[i].src < msgs[i - 1].src) {
       audit::fail("packet-conservation", "delta-network",
@@ -64,22 +91,11 @@ DeltaRouter::StepCost DeltaRouter::simulate(const CommPattern& pattern) const {
     const int cl = msgs[i].src / params_.cluster_size;
     std::size_t j = i;
     while (j < msgs.size() && msgs[j].src / params_.cluster_size == cl) ++j;
-    if (static_cast<std::size_t>(clusters_) > head_.size()) {
-      head_.resize(static_cast<std::size_t>(clusters_));
-      tail_.resize(static_cast<std::size_t>(clusters_));
-    }
     head_[static_cast<std::size_t>(cl)] = i;
     tail_[static_cast<std::size_t>(cl)] = j;
+    cache_head(cl, msgs[i]);
     active_.push_back(cl);
     i = j;
-  }
-
-  if (!params_.ideal_crossbar &&
-      link_used_.size() < static_cast<std::size_t>(stages_ * clusters_)) {
-    link_used_.resize(static_cast<std::size_t>(stages_ * clusters_), 0);
-  }
-  if (dest_used_.size() < static_cast<std::size_t>(clusters_)) {
-    dest_used_.resize(static_cast<std::size_t>(clusters_), 0);
   }
 
   std::size_t remaining = pattern.size();
@@ -101,24 +117,20 @@ DeltaRouter::StepCost DeltaRouter::simulate(const CommPattern& pattern) const {
     for (std::size_t k = 0; k < n_active; ++k) {
       std::size_t idx = first + k;
       if (idx >= n_active) idx -= n_active;
-      const int cl = active_[idx];
-      const std::size_t h = head_[static_cast<std::size_t>(cl)];
-      if (h == tail_[static_cast<std::size_t>(cl)]) continue;  // drained this wave pass
-      const Message& m = msgs[h];
-      const int dst_cl = m.dst / params_.cluster_size;
-
-      if (dest_used_[static_cast<std::size_t>(dst_cl)] == epoch) {
+      const auto cl = static_cast<std::size_t>(active_[idx]);
+      const std::size_t h = head_[cl];
+      if (h == tail_[cl]) continue;  // drained this wave pass
+      const auto dst_cl = static_cast<std::size_t>(head_dst_[cl]);
+      if (dest_used_[dst_cl] == epoch) {
         ++cost.conflicts;
         continue;
       }
+      const int* links = head_links_.data() + cl * inner;
       bool free = true;
-      if (!params_.ideal_crossbar) {
-        for (int s = 0; s < stages_; ++s) {
-          if (link_used_[static_cast<std::size_t>(link_at(cl, dst_cl, s))] ==
-              epoch) {
-            free = false;
-            break;
-          }
+      for (std::size_t s = 0; s < inner; ++s) {
+        if (link_used_[static_cast<std::size_t>(links[s])] == epoch) {
+          free = false;
+          break;
         }
       }
       if (!free) {
@@ -126,15 +138,17 @@ DeltaRouter::StepCost DeltaRouter::simulate(const CommPattern& pattern) const {
         continue;
       }
 
-      dest_used_[static_cast<std::size_t>(dst_cl)] = epoch;
-      if (!params_.ideal_crossbar) {
-        for (int s = 0; s < stages_; ++s) {
-          link_used_[static_cast<std::size_t>(link_at(cl, dst_cl, s))] = epoch;
-        }
+      dest_used_[dst_cl] = epoch;
+      for (std::size_t s = 0; s < inner; ++s) {
+        link_used_[static_cast<std::size_t>(links[s])] = epoch;
       }
-      wave_max_bytes = std::max(wave_max_bytes, m.bytes);
-      head_[static_cast<std::size_t>(cl)] = h + 1;
-      if (h + 1 == tail_[static_cast<std::size_t>(cl)]) drained_any = true;
+      wave_max_bytes = std::max(wave_max_bytes, msgs[h].bytes);
+      head_[cl] = h + 1;
+      if (h + 1 == tail_[cl]) {
+        drained_any = true;
+      } else {
+        cache_head(static_cast<int>(cl), msgs[h + 1]);
+      }
       --remaining;
       ++delivered;
     }

@@ -36,6 +36,11 @@
 // contiguous subranges of it — building them is one walk over the active
 // messages, no per-PE scan and no queue allocation. Link/destination claim
 // tables are epoch-stamped (one epoch per wave) so they are never cleared.
+// Each cluster caches its head-of-line circuit (destination cluster plus
+// one link per inner stage), computed when the head advances, so a probe
+// that is deferred wave after wave costs only epoch loads. The last stage
+// needs no link table: its link sits on the destination's own address, so
+// it is busy exactly when the destination channel is.
 
 namespace pcm::net {
 
@@ -54,6 +59,8 @@ struct DeltaRouterParams {
 
 class DeltaRouter final : public Router {
  public:
+  /// Throws std::invalid_argument unless procs is a whole number of
+  /// clusters and the cluster count is a power of the radix.
   DeltaRouter(int procs, DeltaRouterParams params = {});
 
   void route(const CommPattern& pattern, sim::ClockSet& clocks,
@@ -88,12 +95,18 @@ class DeltaRouter final : public Router {
  private:
   [[nodiscard]] StepCost simulate(const CommPattern& pattern) const;
 
-  /// Link id used by a circuit from cluster `a` to cluster `b` at `stage`.
-  [[nodiscard]] int link_at(int a, int b, int stage) const;
+  /// Cache the circuit of cluster `cl`'s head message `m`: its destination
+  /// cluster and its link id at each inner stage.
+  void cache_head(int cl, const Message& m) const;
 
   DeltaRouterParams params_;
   int clusters_;
   int stages_;
+  /// Stages whose links are tracked: all but the last (see header comment),
+  /// none on an ideal crossbar.
+  int inner_stages_;
+  /// low_span_[s] = radix^(stages-s-1): the address digits below stage s.
+  std::vector<int> low_span_;
 
   struct MemoEntry {
     StepCost cost;
@@ -104,10 +117,12 @@ class DeltaRouter final : public Router {
   mutable std::unordered_map<std::uint64_t, MemoEntry> memo_;
   mutable std::size_t memo_bytes_ = 0;
 
-  // simulate() scratch, reused across calls (sized to active clusters once,
-  // epoch-stamped so no per-call clearing).
+  // simulate() scratch, sized on first use and reused across calls
+  // (epoch-stamped, so no per-call clearing).
   mutable std::vector<int> active_;                ///< clusters with pending sends.
   mutable std::vector<std::size_t> head_, tail_;   ///< per-cluster FIFO cursors.
+  mutable std::vector<int> head_dst_;              ///< head's destination cluster.
+  mutable std::vector<int> head_links_;  ///< head's inner-stage link ids, per cluster.
   mutable std::vector<std::uint64_t> link_used_;   ///< epoch of last claim.
   mutable std::vector<std::uint64_t> dest_used_;   ///< epoch of last claim.
   mutable std::uint64_t wave_epoch_ = 0;

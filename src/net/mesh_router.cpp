@@ -1,8 +1,10 @@
 #include "net/mesh_router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "audit/audit.hpp"
@@ -16,16 +18,65 @@ double clipped_jitter(sim::Rng& rng, double sigma) {
   return std::max(0.5, 1.0 + sigma * g);
 }
 
+/// Merge the sorted runs data[bounds[r], bounds[r+1]) bottom-up by
+/// (t, seq) into one sorted range [bounds.front(), bounds.back()). Runs
+/// ping-pong between `data` and `spare`; the result is whichever holds the
+/// merged range. Overwrites `bounds`.
+template <typename T>
+std::span<T> merge_runs(std::span<T> data, std::span<T> spare,
+                        std::span<std::size_t> bounds) {
+  const auto precedes = [](const T& a, const T& b) {
+    return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+  };
+  std::size_t runs = bounds.size() - 1;
+  const std::size_t end = bounds[runs];
+  while (runs > 1) {
+    std::size_t merged = 0;
+    for (std::size_t r = 0; r < runs; r += 2) {
+      const T* a = data.data() + bounds[r];
+      const T* const a_end = data.data() + bounds[std::min(r + 1, runs)];
+      const T* b = a_end;
+      const T* const b_end = data.data() + bounds[std::min(r + 2, runs)];
+      T* out = spare.data() + bounds[r];
+      while (a != a_end && b != b_end) *out++ = precedes(*b, *a) ? *b++ : *a++;
+      std::copy(b, b_end, std::copy(a, a_end, out));
+      bounds[merged++] = bounds[r];
+    }
+    bounds[merged] = end;
+    runs = merged;
+    std::swap(data, spare);
+  }
+  return data;
+}
+
+int checked_procs(int procs, const MeshRouterParams& p) {
+  if (p.width <= 0 || p.height <= 0 || p.width * p.height != procs) {
+    throw std::invalid_argument(
+        "MeshRouter: procs=" + std::to_string(procs) + " does not fill a " +
+        std::to_string(p.width) + "x" + std::to_string(p.height) + " mesh");
+  }
+  if (!(p.o_send >= 0.0) || !(p.copy_send >= 0.0) || !(p.t_hop_lat >= 0.0) ||
+      !(p.t_link_byte >= 0.0)) {
+    throw std::invalid_argument(
+        "MeshRouter: o_send, copy_send, t_hop_lat and t_link_byte must be >= 0");
+  }
+  return procs;
+}
+
 }  // namespace
 
 MeshRouter::MeshRouter(int procs, MeshRouterParams params, std::uint64_t seed)
-    : Router(procs),
+    : Router(checked_procs(procs, params)),
       params_(params),
       cpu_free_(static_cast<std::size_t>(procs), 0.0),
       link_free_(static_cast<std::size_t>(procs) * 4, 0.0),
       link_stamp_(static_cast<std::size_t>(procs) * 4, 0),
-      bias_(static_cast<std::size_t>(procs), 1.0) {
-  assert(params_.width * params_.height == procs);
+      bias_(static_cast<std::size_t>(procs), 1.0),
+      coord_(static_cast<std::size_t>(procs)),
+      recv_end_(static_cast<std::size_t>(procs) * kLinkRuns, 0) {
+  for (int p = 0; p < procs; ++p) {
+    coord_[static_cast<std::size_t>(p)] = {p % params_.width, p / params_.width};
+  }
   sim::Rng r(seed);
   redraw_biases(r);
 }
@@ -38,6 +89,20 @@ int MeshRouter::hops(int a, int b) const {
 
 int MeshRouter::link_index(int x, int y, int dir) const {
   return ((y * params_.width) + x) * 4 + dir;
+}
+
+std::size_t MeshRouter::run_slot(int src, int dst) const {
+  // XY routing ends with a Y hop when the rows differ, else with an X hop
+  // when the columns differ, else the message never leaves its node.
+  const Coord a = coord_[static_cast<std::size_t>(src)];
+  const Coord b = coord_[static_cast<std::size_t>(dst)];
+  std::size_t run = 4;  // to self
+  if (a.y != b.y) {
+    run = b.y > a.y ? 2 : 3;  // arrived moving S / N
+  } else if (a.x != b.x) {
+    run = b.x > a.x ? 0 : 1;  // arrived moving E / W
+  }
+  return static_cast<std::size_t>(dst) * kLinkRuns + run;
 }
 
 void MeshRouter::redraw_biases(sim::Rng& rng) {
@@ -89,44 +154,68 @@ void MeshRouter::route(const CommPattern& pattern, sim::ClockSet& clocks,
 
   // Phase 1: senders issue their messages in queue order (one CPU per node).
   // senders() is ascending, so the jitter draws come out in the same order
-  // as the historical all-P scan.
-  struct InFlight {
-    sim::Micros departure;
-    Message m;
-  };
+  // as the historical all-P scan, and message i of the canonical stream
+  // departs at order[i].t. A send costs >= 0 (checked at construction), so
+  // each sender's departures form one non-decreasing run. The same pass
+  // counts each receiver's arrivals per incoming link.
+  const auto msgs = pattern.messages();
+  const std::size_t n = msgs.size();
   arena_.reset();
-  auto flight = arena_.alloc<InFlight>(pattern.size());
+  auto order = arena_.alloc<Timed>(n);
+  auto spare = arena_.alloc<Timed>(n);
+  auto bounds = arena_.alloc<std::size_t>(senders.size() + 1);
+  for (const int r : receivers) {
+    std::fill_n(recv_end_.begin() + static_cast<std::ptrdiff_t>(r) * kLinkRuns,
+                kLinkRuns, 0);
+  }
   std::size_t nf = 0;
-  for (const int p : senders) {
+  for (std::size_t si = 0; si < senders.size(); ++si) {
+    const int p = senders[si];
     sim::Micros cpu = std::max(cpu_avail(p), clocks.at(p));
     const double bias = bias_[static_cast<std::size_t>(p)];
+    bounds[si] = nf;
     for (const auto& m : pattern.sends_of(p)) {
       const sim::Micros cost =
           (params_.o_send + params_.copy_send * m.bytes) * bias *
           clipped_jitter(rng, params_.jitter);
       cpu += cost;
-      flight[nf++] = InFlight{cpu, m};
+      order[nf] = Timed{cpu, static_cast<std::uint32_t>(nf), m.bytes};
+      ++nf;
+      ++recv_end_[run_slot(m.src, m.dst)];
     }
     cpu_free_[static_cast<std::size_t>(p)] = cpu;
   }
-  assert(nf == pattern.size());
+  assert(nf == n);
+  bounds[senders.size()] = n;
+  const auto departures =
+      merge_runs(order, spare, bounds.first(senders.size() + 1));
+  // The other buffer is free: Phase 2 buckets the arrivals there.
+  const auto recv = departures.data() == order.data() ? spare : order;
+
+  // Receive buckets: a counting sort by (receiver, incoming link) over the
+  // active receivers; each cursor ends at its run's end.
+  std::size_t off = 0;
+  for (const int r : receivers) {
+    for (std::size_t c = 0; c < kLinkRuns; ++c) {
+      std::size_t& slot = recv_end_[static_cast<std::size_t>(r) * kLinkRuns + c];
+      const std::size_t count = slot;
+      slot = off;
+      off += count;
+    }
+  }
 
   // Phase 2: store-and-forward XY transit, messages claim links in global
   // departure order.
-  std::stable_sort(flight.begin(), flight.end(),
-                   [](const InFlight& a, const InFlight& b) {
-                     return a.departure < b.departure;
-                   });
-  arrivals_.clear();
-  arrivals_.reserve(flight.size());
-  for (const auto& f : flight) {
-    sim::Micros t = f.departure;
-    int x = f.m.src % params_.width;
-    int y = f.m.src / params_.width;
-    const int dx = f.m.dst % params_.width;
-    const int dy = f.m.dst / params_.width;
+  std::uint32_t rank = 0;
+  for (const Timed& d : departures) {
+    const Message& m = msgs[d.seq];
+    sim::Micros t = d.t;
     const sim::Micros hop_cost =
-        params_.t_hop_lat + params_.t_link_byte * f.m.bytes;
+        params_.t_hop_lat + params_.t_link_byte * d.bytes;
+    int x = coord_[static_cast<std::size_t>(m.src)].x;
+    int y = coord_[static_cast<std::size_t>(m.src)].y;
+    const int dx = coord_[static_cast<std::size_t>(m.dst)].x;
+    const int dy = coord_[static_cast<std::size_t>(m.dst)].y;
     while (x != dx) {
       const int dir = (dx > x) ? 0 : 1;  // 0=E, 1=W
       const auto li = static_cast<std::size_t>(link_index(x, y, dir));
@@ -141,87 +230,78 @@ void MeshRouter::route(const CommPattern& pattern, sim::ClockSet& clocks,
       claim_link(li, t);
       y += (dy > y) ? 1 : -1;
     }
-    arrivals_.push_back(Arrival{t, f.m.dst, f.m.bytes});
-  }
-  if (audit::enabled() && arrivals_.size() != pattern.size()) {
-    // Transit conservation: every injected message must arrive at its
-    // destination node exactly once (the XY walk cannot drop or duplicate).
-    audit::fail("packet-conservation", "mesh",
-                "transited " + std::to_string(arrivals_.size()) + " of " +
-                    std::to_string(pattern.size()) + " injected messages");
+    recv[recv_end_[run_slot(m.src, m.dst)]++] = Timed{t, rank++, d.bytes};
   }
 
-  // Phase 3: receivers process deliveries in arrival order on the same CPU
-  // that issued their sends.
-  recv_order_.resize(arrivals_.size());
-  for (std::size_t i = 0; i < arrivals_.size(); ++i)
-    recv_order_[i] = static_cast<int>(i);
-  std::stable_sort(recv_order_.begin(), recv_order_.end(), [this](int a, int b) {
-    const auto& aa = arrivals_[static_cast<std::size_t>(a)];
-    const auto& ab = arrivals_[static_cast<std::size_t>(b)];
-    if (aa.dst != ab.dst) return aa.dst < ab.dst;
-    return aa.t < ab.t;
-  });
   if (audit::enabled()) {
-    // Per-node conservation: each receiver's run in the (dst, arrival)-sorted
-    // order must match its expected receive count (O(messages), no dense
-    // arrays materialised).
-    for (std::size_t i = 0; i < recv_order_.size();) {
-      const int dst = arrivals_[static_cast<std::size_t>(recv_order_[i])].dst;
-      std::size_t j = i;
-      while (j < recv_order_.size() &&
-             arrivals_[static_cast<std::size_t>(recv_order_[j])].dst == dst) {
-        ++j;
+    // Conservation: every injected message transited, and each receiver's
+    // bucket filled to exactly its expected receive count.
+    if (rank != pattern.size()) {
+      audit::fail("packet-conservation", "mesh",
+                  "transited " + std::to_string(rank) + " of " +
+                      std::to_string(pattern.size()) + " injected messages");
+    }
+    std::size_t end = 0;
+    for (const int r : receivers) {
+      const std::size_t begin = end;
+      end += static_cast<std::size_t>(pattern.receive_count(r));
+      const std::size_t filled =
+          recv_end_[static_cast<std::size_t>(r) * kLinkRuns + kLinkRuns - 1];
+      if (filled != end) {
+        audit::fail("packet-conservation", "node " + std::to_string(r),
+                    "expected " + std::to_string(pattern.receive_count(r)) +
+                        " arrivals, saw " + std::to_string(filled - begin));
       }
-      if (static_cast<int>(j - i) != pattern.receive_count(dst)) {
-        audit::fail("packet-conservation", "node " + std::to_string(dst),
-                    "expected " + std::to_string(pattern.receive_count(dst)) +
-                        " arrivals, saw " + std::to_string(j - i));
-      }
-      i = j;
     }
     audit::count_check();
   }
-  // Walk each receiver's arrivals in order; `done` counts processed
-  // messages of the current receiver, `ahead` the arrivals already in the
-  // buffer when a message starts processing (backlog = ahead - done).
+
+  // Phase 3: receivers process deliveries in arrival order on the same CPU
+  // that issued their sends. Each of a node's runs is already sorted by
+  // (arrival, rank): a link's claims come in rank order and each ends no
+  // earlier than the one before (hop costs are >= 0), and messages to self
+  // arrive at their departure. Merging the runs (through the departure
+  // buffer, free now) gives the node's arrival order. Walk it; `done`
+  // counts processed messages, `ahead` the arrivals already in the buffer
+  // when a message starts processing (backlog = ahead - done).
   obs::Metrics* const om = live_metrics();
-  int current_dst = -1;
-  std::size_t done = 0, ahead = 0, dst_begin = 0;
-  for (std::size_t oi = 0; oi < recv_order_.size(); ++oi) {
-    const int idx = recv_order_[oi];
-    const auto& a = arrivals_[static_cast<std::size_t>(idx)];
-    if (a.dst != current_dst) {
-      current_dst = a.dst;
-      done = ahead = 0;
-      dst_begin = oi;
+  std::size_t bucket_begin = 0;
+  for (const int dst : receivers) {
+    const auto d = static_cast<std::size_t>(dst);
+    std::array<std::size_t, kLinkRuns + 1> run_bounds{bucket_begin};
+    std::size_t runs = 0;
+    for (std::size_t c = 0; c < kLinkRuns; ++c) {
+      const std::size_t end = recv_end_[d * kLinkRuns + c];
+      if (end != run_bounds[runs]) run_bounds[++runs] = end;
     }
-    const sim::Micros begin =
-        std::max({cpu_avail(a.dst), a.t, clocks.at(a.dst)});
-    // Advance `ahead` over this receiver's arrivals that are <= begin.
-    while (dst_begin + ahead < recv_order_.size()) {
-      const auto& nxt =
-          arrivals_[static_cast<std::size_t>(recv_order_[dst_begin + ahead])];
-      if (nxt.dst != a.dst || nxt.t > begin) break;
-      ++ahead;
+    const std::size_t bucket_end = run_bounds[runs];
+    const auto bucket =
+        merge_runs(recv, departures, std::span(run_bounds).first(runs + 1))
+            .subspan(bucket_begin, bucket_end - bucket_begin);
+    bucket_begin = bucket_end;
+    const double bias = bias_[d];
+    std::size_t ahead = 0;
+    for (std::size_t done = 0; done < bucket.size(); ++done) {
+      const Timed& a = bucket[done];
+      const sim::Micros begin = std::max({cpu_avail(dst), a.t, clocks.at(dst)});
+      // Advance `ahead` over this receiver's arrivals that are <= begin.
+      while (ahead < bucket.size() && bucket[ahead].t <= begin) ++ahead;
+      const long backlog = static_cast<long>(ahead - done) - 1;
+      if (om != nullptr && backlog > 0) {
+        om->peak(obs::builtin().mesh_recv_backlog_peak,
+                 static_cast<std::uint64_t>(backlog));
+      }
+      const sim::Micros backlog_cost =
+          (backlog > params_.backlog_tolerance)
+              ? params_.backlog_penalty *
+                    static_cast<double>(backlog - params_.backlog_tolerance)
+              : 0.0;
+      const sim::Micros cost =
+          (params_.o_recv + params_.copy_recv * a.bytes) * bias *
+              clipped_jitter(rng, params_.jitter) +
+          surcharge + backlog_cost;
+      cpu_free_[d] = begin + cost;
     }
-    const long backlog = static_cast<long>(ahead - done) - 1;
-    if (om != nullptr && backlog > 0) {
-      om->peak(obs::builtin().mesh_recv_backlog_peak,
-               static_cast<std::uint64_t>(backlog));
-    }
-    const sim::Micros backlog_cost =
-        (backlog > params_.backlog_tolerance)
-            ? params_.backlog_penalty *
-                  static_cast<double>(backlog - params_.backlog_tolerance)
-            : 0.0;
-    const double bias = bias_[static_cast<std::size_t>(a.dst)];
-    const sim::Micros cost =
-        (params_.o_recv + params_.copy_recv * a.bytes) * bias *
-            clipped_jitter(rng, params_.jitter) +
-        surcharge + backlog_cost;
-    cpu_free_[static_cast<std::size_t>(a.dst)] = begin + cost;
-    ++done;
   }
 
   // Participants' clocks advance to their CPU availability; everyone else

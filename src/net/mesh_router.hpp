@@ -69,6 +69,10 @@ struct MeshRouterParams {
 
 class MeshRouter final : public Router {
  public:
+  /// Throws std::invalid_argument unless width * height == procs and
+  /// o_send, copy_send, t_hop_lat and t_link_byte are >= 0: route() relies
+  /// on each sender's departures, and the arrivals over each link, being
+  /// non-decreasing.
   MeshRouter(int procs, MeshRouterParams params = {}, std::uint64_t seed = 1);
 
   void route(const CommPattern& pattern, sim::ClockSet& clocks,
@@ -109,17 +113,30 @@ class MeshRouter final : public Router {
   std::uint64_t link_epoch_ = 1;
   std::vector<double> bias_;
 
-  // Per-call scratch: the arena holds the in-flight message list, the member
-  // vectors keep their capacity across calls — route() allocates nothing in
-  // steady state.
+  // Per-call scratch in the arena (reset at the top of route(), so route()
+  // allocates nothing in steady state): two buffers of timed messages that
+  // the run merges ping-pong between, and the sender run bounds.
   sim::Arena arena_;
-  struct Arrival {
+  /// A timed message: its departure (seq = canonical index) or its
+  /// arrival (seq = departure rank). (t, seq) orders both uniquely.
+  struct Timed {
     sim::Micros t;
-    std::int32_t dst;
+    std::uint32_t seq;
     std::int32_t bytes;
   };
-  std::vector<Arrival> arrivals_;
-  std::vector<int> recv_order_;
+  struct Coord {
+    int x;
+    int y;
+  };
+  std::vector<Coord> coord_;  ///< node id -> mesh column and row.
+  /// A receiver's arrivals form one run per incoming link (E, W, S, N
+  /// moving) plus one for messages to itself.
+  static constexpr std::size_t kLinkRuns = 5;
+  /// Slot of the run that a message from `src` joins at `dst`.
+  [[nodiscard]] std::size_t run_slot(int src, int dst) const;
+  /// Per node and run: an arrival count, then a counting-sort cursor that
+  /// ends at the run's end. Only active receivers' slots are touched.
+  std::vector<std::size_t> recv_end_;
 };
 
 }  // namespace pcm::net

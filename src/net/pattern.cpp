@@ -39,7 +39,19 @@ void CommPattern::reserve(std::size_t expected_messages) {
 void CommPattern::ensure_canonical() const {
   if (canonical_ready_) return;
   // Senders first touched in non-decreasing order are already ascending.
-  if (!stage_sorted_) std::sort(senders_.begin(), senders_.end());
+  if (!stage_sorted_) {
+    const auto p_count = static_cast<std::size_t>(procs_);
+    if (senders_.size() >= p_count / kDenseSenderDivisor) {
+      // Dense: one pass over the counts rebuilds the ascending list more
+      // cheaply than sorting this many ids (a shuffled full relation).
+      std::size_t n = 0;
+      for (std::size_t p = 0; p < p_count; ++p) {  // pcm-lint:allow(dense-scan) only when >= P/16 PEs send
+        if (send_count_[p] != 0) senders_[n++] = static_cast<int>(p);
+      }
+    } else {
+      std::sort(senders_.begin(), senders_.end());
+    }
+  }
   if (begin_of_.size() < static_cast<std::size_t>(procs_)) {
     begin_of_.resize(static_cast<std::size_t>(procs_));
   }

@@ -18,7 +18,10 @@
 // messages), never O(P). Messages are staged in add() order; the canonical
 // (sender, queue-position) order is produced lazily on first access, and is
 // free (no copy, no sort) when messages were added in non-decreasing sender
-// order, which is how every builder in this repo emits them. At 64K–1M PEs a
+// order, which is how the kernels emit them. The calibration generators
+// stage senders shuffled; their sender list is sorted, or, once at least
+// P/16 PEs send, rebuilt by one pass over the dense counts, which is still
+// O(active) at that density. At 64K–1M PEs a
 // pattern touching two processors is as cheap as one on a 4-PE machine;
 // only the constructor pays a one-time O(P) zero-fill for the dense count
 // arrays, amortised across the pattern's lifetime of clear()/add() cycles.
@@ -115,6 +118,9 @@ class CommPattern {
  private:
   /// Sort the senders and build the CSR offsets / canonical order.
   void ensure_canonical() const;
+  /// Out-of-order senders numbering at least P / kDenseSenderDivisor are
+  /// put in order by one pass over the dense counts instead of a sort.
+  static constexpr std::size_t kDenseSenderDivisor = 16;
   /// Sort the receivers. Only receivers() and active_processors() need
   /// them in order (FatTree and MeshRouter read them; DeltaRouter does
   /// not), so they are sorted on first read, not with the senders.

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "algos/bitonic.hpp"
 #include "audit/audit.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
@@ -173,6 +174,23 @@ TEST(FaultInjection, DeadChannelsSilenceTheirPEs) {
     auto m = small_machine(platform);
     EXPECT_EQ(ring_exchange(*m), 0u);  // every channel dead
   }
+}
+
+TEST(FaultInjection, WordSyncBitonicClipsDuplicatedWordsToTheirWindow) {
+  // Under a dup plan a word parcel of the barrier-chunked bitonic sort grows
+  // past its 256-key window (the duplicates trail the body). Each parcel
+  // must be clipped to its window instead of copied past the partner run;
+  // since the bodies are intact, the sort still comes out exact.
+  const ScopedPlan plan("dup:rate=0.05:seed=3");
+  auto m = machines::make_machine(
+      {.platform = machines::Platform::GCel, .procs = 16, .seed = 2026});
+  const auto keys = test::random_keys(16 * 256, 2);
+  const auto r =
+      algos::run_bitonic(*m, keys, algos::BitonicVariant::BspSynchronized);
+  EXPECT_GT(m->injector()->counters().duplicated, 0);
+  auto want = keys;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(r.keys, want);
 }
 
 TEST(FaultInjection, BlockModeDropsAndDuplicatesWholeParcels) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string_view>
+
+#include "calibrate/microbench.hpp"
 #include "net/pattern.hpp"
 #include "sim/clockset.hpp"
 #include "sim/rng.hpp"
@@ -115,6 +121,135 @@ TEST_F(FatTreeTest, ThroughputScalesWithH) {
   const double t16 = run_h(16);
   EXPECT_GT(t16, 1.6 * t8);
   EXPECT_LT(t16, 2.6 * t8);
+}
+
+// The fat tree's exact output, pinned bit for bit so that a faster event
+// loop or a different way of drawing the jitter must keep every service
+// time, every draw and the order of the draws. Each case routes twice with
+// a drain between; the digest covers all 64 node clocks, and the Rng's
+// next word shows that the routes left it exactly where their draws end.
+
+/// One word superstep of the Fig 16 matrix multiply on a q^3 grid, as
+/// algos::run_matmul stages it: `replicate` sends A within <i,j,*> and B
+/// to <*,i,j> (superstep 1), otherwise the reduce-scatter of C pieces
+/// (superstep 3). Every word is one 8-byte message.
+CommPattern matmul_word_superstep(bool replicate, bool staggered,
+                                  int piece_words) {
+  constexpr int q = 4;
+  const auto rank = [](int i, int j, int k) { return (i * q + j) * q + k; };
+  CommPattern pat(q * q * q);
+  const auto send = [&](int src, int dst) {
+    for (int w = 0; w < piece_words; ++w) pat.add(src, dst, 8);
+  };
+  for (int i = 0; i < q; ++i) {
+    for (int j = 0; j < q; ++j) {
+      for (int k = 0; k < q; ++k) {
+        const int self = rank(i, j, k);
+        if (!replicate) {
+          for (int d = 0; d < q; ++d) {
+            const int l = staggered ? (j + d) % q : d;
+            if (rank(i, k, l) != self) send(self, rank(i, k, l));
+          }
+          continue;
+        }
+        for (int d = 1; d < q; ++d) {
+          const int kk = staggered ? (k + d) % q : d - 1 + (d - 1 >= k ? 1 : 0);
+          send(self, rank(i, j, kk));
+        }
+        for (int d = 0; d < q; ++d) {
+          const int ii = staggered ? (k + d) % q : d;
+          if (rank(ii, i, j) != self) send(self, rank(ii, i, j));
+        }
+      }
+    }
+  }
+  return pat;
+}
+
+CommPattern pinned_fat_tree_pattern(std::string_view name, sim::Rng& rng) {
+  constexpr int procs = 64;
+  if (name == "reduce-stag-1") return matmul_word_superstep(false, true, 1);
+  if (name == "reduce-unstag-1") return matmul_word_superstep(false, false, 1);
+  if (name == "reduce-stag-160") return matmul_word_superstep(false, true, 160);
+  if (name == "reduce-unstag-160") {
+    return matmul_word_superstep(false, false, 160);
+  }
+  if (name == "replicate-stag-80") return matmul_word_superstep(true, true, 80);
+  if (name == "replicate-unstag-80") {
+    return matmul_word_superstep(true, false, 80);
+  }
+  if (name == "h-relation-64") {
+    return calibrate::full_h_relation(rng, procs, 64, 8);
+  }
+  if (name == "gather-64") {
+    CommPattern pat(procs);  // every other node streams 64 words at node 0
+    for (int p = 1; p < procs; ++p) {
+      for (int i = 0; i < 64; ++i) pat.add(p, 0, 8);
+    }
+    return pat;
+  }
+  CommPattern pat(procs);  // "bulk-16": h = 16, 64..8192 bytes
+  for (int p = 0; p < procs; ++p) {
+    for (int i = 0; i < 16; ++i) {
+      pat.add(p, static_cast<int>(rng.next_below(procs)),
+              64 << rng.next_below(8));
+    }
+  }
+  return pat;
+}
+
+/// FNV-1a over every node's clock bits.
+std::uint64_t clock_digest(const sim::ClockSet& clocks) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (int p = 0; p < clocks.size(); ++p) {
+    h ^= std::bit_cast<std::uint64_t>(clocks.at(p));
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct PinnedFatTree {
+  const char* pattern;
+  std::uint64_t digest;     ///< Node clocks after both routes.
+  std::uint64_t next_word;  ///< The Rng's next next_u64() after them.
+};
+
+void expect_pinned(const PinnedFatTree& c) {
+  FatTree router(64);
+  sim::Rng rng(0xfa7ULL);
+  const auto pat = pinned_fat_tree_pattern(c.pattern, rng);
+  sim::ClockSet clocks(64);
+  // Staggered starts; the second route follows a drain.
+  for (int p = 0; p < 64; ++p) clocks.set(p, rng.next_double() * 1000.0);
+  router.route(pat, clocks, rng);
+  router.drain(clocks.max());
+  clocks.barrier();
+  router.route(pat, clocks, rng);
+  const std::uint64_t digest = clock_digest(clocks);
+  const std::uint64_t next_word = rng.next_u64();
+  char actual[160];
+  std::snprintf(actual, sizeof actual, "{\"%s\", 0x%016llxull, 0x%016llxull}",
+                c.pattern, static_cast<unsigned long long>(digest),
+                static_cast<unsigned long long>(next_word));
+  EXPECT_EQ(digest, c.digest) << actual;
+  EXPECT_EQ(next_word, c.next_word) << actual;
+}
+
+constexpr PinnedFatTree kPinnedFatTree[] = {
+    // pattern, clock digest, next Rng word
+    {"reduce-stag-1", 0x3730d3a756812b63ull, 0x7b54e125466ddbdaull},
+    {"reduce-unstag-1", 0x97dae7ab1a9e12ddull, 0x7b54e125466ddbdaull},
+    {"reduce-stag-160", 0x35cdc9c24c363b10ull, 0x8f5fe62453758a3aull},
+    {"reduce-unstag-160", 0xf4b9e9f04b381fcdull, 0x8f5fe62453758a3aull},
+    {"replicate-stag-80", 0xa238dbb393ad6bcaull, 0x255cba5f9ce27476ull},
+    {"replicate-unstag-80", 0xadbaf30b718df0c0ull, 0x255cba5f9ce27476ull},
+    {"h-relation-64", 0x04fcc7b986c6176eull, 0xd11e90774f2ae784ull},
+    {"gather-64", 0xe54f06e5a13e7f28ull, 0x9d49d07dffd9766dull},
+    {"bulk-16", 0x4b8d25fc8f3cefcbull, 0x440f22a8031cd392ull},
+};
+
+TEST(FatTreePinned, Fig16AndCalibrationPatternsKeepTheirExactClocks) {
+  for (const auto& c : kPinnedFatTree) expect_pinned(c);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "audit/audit.hpp"
@@ -11,40 +12,43 @@ namespace pcm::net {
 
 namespace {
 
-double clipped_jitter(sim::Rng& rng, double sigma) {
-  const double g = std::clamp(rng.next_gaussian(), -3.0, 3.0);
+double clipped_jitter(double gaussian, double sigma) {
+  const double g = std::clamp(gaussian, -3.0, 3.0);
   return std::max(0.5, 1.0 + sigma * g);
 }
 
 }  // namespace
 
-bool FatTree::PortQueue::holds(std::int32_t sender) const {
-  const auto it = std::lower_bound(
-      per_sender.begin(), per_sender.end(), sender,
-      [](const auto& e, std::int32_t s) { return e.first < s; });
-  return it != per_sender.end() && it->first == sender;
-}
-
-void FatTree::PortQueue::inc(std::int32_t sender) {
-  const auto it = std::lower_bound(
-      per_sender.begin(), per_sender.end(), sender,
-      [](const auto& e, std::int32_t s) { return e.first < s; });
-  if (it != per_sender.end() && it->first == sender) {
-    ++it->second;
-  } else {
-    // Sorted insert into the per-port arbitration window: bounded by the
-    // distinct senders in flight at one port, and the capacity persists
-    // across drains.
-    per_sender.insert(it, {sender, 1});  // pcm-lint:allow(hot-path-alloc)
+void FatTree::PortQueue::retire_until(sim::Micros t) {
+  while (head < entries.size() && entries[head].first <= t) {
+    const auto it = find_sender(entries[head].second);
+    assert(it != per_sender.end() && it->first == entries[head].second);
+    if (--it->second == 0) per_sender.erase(it);
+    ++head;
+  }
+  if (head == entries.size()) {
+    entries.clear();
+    head = 0;
+  } else if (head >= kCompactAt && head >= pending()) {
+    // Slide the live tail down instead of letting the window grow with
+    // every message the port has ever seen.
+    entries.erase(entries.begin(),
+                  entries.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
   }
 }
 
-void FatTree::PortQueue::dec(std::int32_t sender) {
-  const auto it = std::lower_bound(
+auto FatTree::PortQueue::find_sender(std::int32_t sender)
+    -> std::vector<SenderCount>::iterator {
+  return std::lower_bound(
       per_sender.begin(), per_sender.end(), sender,
-      [](const auto& e, std::int32_t s) { return e.first < s; });
-  assert(it != per_sender.end() && it->first == sender);
-  if (--it->second == 0) per_sender.erase(it);
+      [](const SenderCount& e, std::int32_t s) { return e.first < s; });
+}
+
+void FatTree::PortQueue::clear() {
+  entries.clear();
+  head = 0;
+  per_sender.clear();
 }
 
 FatTree::FatTree(int procs, FatTreeParams params)
@@ -54,7 +58,6 @@ FatTree::FatTree(int procs, FatTreeParams params)
       port_free_(static_cast<std::size_t>(procs), 0.0),
       queues_(static_cast<std::size_t>(procs)),
       queue_stamp_(static_cast<std::size_t>(procs), 0),
-      cursor_(static_cast<std::size_t>(procs), 0),
       recv_free_(static_cast<std::size_t>(procs), 0.0) {}
 
 void FatTree::route(const CommPattern& pattern, sim::ClockSet& clocks,
@@ -72,36 +75,76 @@ void FatTree::route(const CommPattern& pattern, sim::ClockSet& clocks,
 
   // Event loop: always advance the sender whose next injection completes
   // first. Backpressure may push a sender's CPU forward, which is why the
-  // schedule cannot be precomputed per node. The heap is the manual
-  // push_heap/pop_heap expansion of std::priority_queue (identical pop
-  // order), seeded from the ascending active-sender view.
-  heap_.clear();
-  heap_.reserve(senders.size());  // one live entry per active sender
-  touched_queues_.reserve(pattern.receivers().size());
-  for (const int p : senders) {
-    cursor_[static_cast<std::size_t>(p)] = 0;
+  // schedule cannot be precomputed per node. The queue is a loser tree over
+  // one lane per active sender keyed (time, sender): keys are distinct, so
+  // it pops in exactly the order a (time, sender) min-heap would.
+  const std::size_t lanes = senders.size();
+  lane_time_.resize(lanes);  // capacity persists across calls
+  lane_next_.resize(lanes);
+  lane_end_.resize(lanes);
+  loser_.resize(lanes);
+  winner_scratch_.resize(2 * lanes);
+  touched_queues_.reserve(receivers.size());
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const int p = senders[i];
     const sim::Micros cpu = std::max(cpu_avail(p), clocks.at(p));
     cpu_free_[static_cast<std::size_t>(p)] = cpu;
-    heap_.emplace_back(cpu, p);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    lane_time_[i] = cpu;
+    lane_next_[i] = offset;
+    offset += static_cast<std::size_t>(pattern.send_count(p));
+    lane_end_[i] = offset;
+  }
+  for (std::size_t i = 0; i < lanes; ++i) {
+    winner_scratch_[lanes + i] = static_cast<std::int32_t>(i);
+  }
+  for (std::size_t node = lanes - 1; node > 0; --node) {
+    const std::int32_t a = winner_scratch_[2 * node];
+    const std::int32_t b = winner_scratch_[2 * node + 1];
+    const bool a_first = lane_first(a, b);
+    winner_scratch_[node] = a_first ? a : b;
+    loser_[node] = a_first ? b : a;
+  }
+  loser_[0] = lanes == 1 ? 0 : winner_scratch_[1];
+
+  const std::size_t draws = 3 * pattern.size();
+  if (sim::GaussianStream::worth_streaming(draws)) {
+    const sim::GaussianStream::Scope stream(jitter_, rng, draws);
+    route_events(pattern, [this] { return jitter_.next_streamed(); });
+  } else {
+    route_events(pattern, [&rng] { return rng.next_gaussian(); });
   }
 
+  // Fold the receive-handler occupancy back into the node CPU so chained
+  // steps see it, and advance only the participants' clocks.
+  for (const int r : receivers) {
+    const sim::Micros rf = recv_free_[static_cast<std::size_t>(r)];
+    clocks.wait_until(r, rf);
+    cpu_free_[static_cast<std::size_t>(r)] = std::max(cpu_avail(r), rf);
+  }
+  for (const int s : senders) clocks.wait_until(s, cpu_avail(s));
+}
+
+template <class Draw>
+void FatTree::route_events(const CommPattern& pattern, Draw&& draw) {
+  const auto messages = pattern.messages();
+  const std::size_t lanes = lane_time_.size();
+  const bool auditing = audit::enabled();
   obs::Metrics* const om = live_metrics();
   std::size_t processed = 0;
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const auto [t, src] = heap_.back();
-    heap_.pop_back();
+  for (;;) {
+    std::int32_t lane = loser_[0];
+    const auto li = static_cast<std::size_t>(lane);
+    if (lane_next_[li] == lane_end_[li]) break;  // every lane drained
+    const sim::Micros t = lane_time_[li];
+    const Message& m = messages[lane_next_[li]++];
     ++processed;
-    std::size_t& cur = cursor_[static_cast<std::size_t>(src)];
-    const auto sends = pattern.sends_of(src);
-    const Message& m = sends[cur];
 
     // Injection.
-    auto& cpu = cpu_free_[static_cast<std::size_t>(src)];
+    auto& cpu = cpu_free_[static_cast<std::size_t>(m.src)];
     cpu = std::max(cpu, t);
     sim::Micros cost = (params_.o_send + params_.copy_send * m.bytes) *
-                       clipped_jitter(rng, params_.jitter);
+                       clipped_jitter(draw(), params_.jitter);
     if (m.bytes >= params_.bulk_threshold) cost += params_.bulk_setup;
     cpu += cost;
     const sim::Micros departure = cpu;
@@ -109,26 +152,28 @@ void FatTree::route(const CommPattern& pattern, sim::ClockSet& clocks,
 
     // Ejection port with distinct-sender arbitration penalty.
     auto& q = queues_[static_cast<std::size_t>(m.dst)];
-    while (q.head < q.entries.size() && q.entries[q.head].first <= arrival) {
-      q.dec(q.entries[q.head].second);
-      ++q.head;
-    }
-    if (q.head == q.entries.size()) {
-      q.entries.clear();
-      q.head = 0;
-    }
-    const int others = q.distinct() - (q.holds(m.src) ? 1 : 0);
+    q.retire_until(arrival);
+    const auto held = q.find_sender(m.src);
+    const bool holds = held != q.per_sender.end() && held->first == m.src;
+    const int others = q.distinct() - (holds ? 1 : 0);
     const double mult = 1.0 + params_.kappa_hotspot * std::min(others, 3);
     const sim::Micros service =
         (params_.t_eject + params_.eject_byte * m.bytes) * mult *
-        clipped_jitter(rng, params_.jitter);
+        clipped_jitter(draw(), params_.jitter);
     auto& port = port_free_[static_cast<std::size_t>(m.dst)];
     const sim::Micros admission_begin = std::max(arrival, port);
     const sim::Micros admission_end = admission_begin + service;
     port = admission_end;
-    q.inc(m.src);
-    // Pending-window append: bounded by arrivals in flight at one port,
-    // capacity persists across drains.
+    if (holds) {
+      ++held->second;
+    } else {
+      // Sorted insert into the per-port arbitration window: bounded by the
+      // distinct senders in flight at one port, and the capacity persists
+      // across drains.
+      q.per_sender.insert(held, {m.src, 1});  // pcm-lint:allow(hot-path-alloc)
+    }
+    // Pending-window append: bounded by the arrivals in flight at one port
+    // (retire_until compacts it), and the capacity persists across drains.
     q.entries.emplace_back(  // pcm-lint:allow(hot-path-alloc)
         admission_end, m.src);
     if (queue_stamp_[static_cast<std::size_t>(m.dst)] != queue_epoch_) {
@@ -147,17 +192,34 @@ void FatTree::route(const CommPattern& pattern, sim::ClockSet& clocks,
 
     // Receive handling on the destination CPU.
     auto& rf = recv_free_[static_cast<std::size_t>(m.dst)];
-    rf = std::max(rf, admission_end) +
-         (params_.o_recv + params_.copy_recv * m.bytes) *
-             clipped_jitter(rng, params_.jitter);
+    const sim::Micros handling = (params_.o_recv + params_.copy_recv * m.bytes) *
+                                 clipped_jitter(draw(), params_.jitter);
+    rf = std::max(rf, admission_end) + handling;
 
-    ++cur;
-    if (cur < sends.size()) {
-      heap_.emplace_back(cpu, src);
-      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    if (auditing && !(cost >= 0.0 && service >= 0.0 && handling >= 0.0 &&
+                      std::isfinite(cost + service + handling))) {
+      audit::fail("clock-monotonicity", "fat-tree",
+                  "message " + std::to_string(m.src) + "->" +
+                      std::to_string(m.dst) + " of " + std::to_string(m.bytes) +
+                      " bytes costs " + std::to_string(cost) + " us to inject, " +
+                      std::to_string(service) + " us to eject, " +
+                      std::to_string(handling) + " us to receive");
     }
+
+    // Replay the lane's next event (or +inf once drained) up the tree.
+    lane_time_[li] = lane_next_[li] < lane_end_[li]
+                         ? cpu
+                         : std::numeric_limits<sim::Micros>::infinity();
+    for (std::size_t node = (li + lanes) >> 1; node > 0; node >>= 1) {
+      const std::int32_t other = loser_[node];
+      if (lane_first(other, lane)) {
+        loser_[node] = lane;
+        lane = other;
+      }
+    }
+    loser_[0] = lane;
   }
-  if (audit::enabled()) {
+  if (auditing) {
     // The event loop must inject every message exactly once; a scheduling
     // bug (missed re-enqueue, duplicate cursor advance) breaks conservation.
     if (processed != pattern.size()) {
@@ -165,26 +227,18 @@ void FatTree::route(const CommPattern& pattern, sim::ClockSet& clocks,
                   "injected " + std::to_string(processed) + " of " +
                       std::to_string(pattern.size()) + " messages");
     }
-    for (const int p : senders) {
-      const auto sends = pattern.sends_of(p);
-      if (cursor_[static_cast<std::size_t>(p)] != sends.size()) {
-        audit::fail("packet-conservation", "node " + std::to_string(p),
+    const auto senders = pattern.senders();
+    for (std::size_t i = 0; i < lanes; ++i) {
+      if (lane_next_[i] != lane_end_[i]) {
+        const auto sent = static_cast<std::size_t>(pattern.send_count(senders[i]));
+        audit::fail("packet-conservation", "node " + std::to_string(senders[i]),
                     "send queue stopped at message " +
-                        std::to_string(cursor_[static_cast<std::size_t>(p)]) +
-                        " of " + std::to_string(sends.size()));
+                        std::to_string(sent - (lane_end_[i] - lane_next_[i])) +
+                        " of " + std::to_string(sent));
       }
     }
     audit::count_check();
   }
-
-  // Fold the receive-handler occupancy back into the node CPU so chained
-  // steps see it, and advance only the participants' clocks.
-  for (const int r : receivers) {
-    const sim::Micros rf = recv_free_[static_cast<std::size_t>(r)];
-    clocks.wait_until(r, rf);
-    cpu_free_[static_cast<std::size_t>(r)] = std::max(cpu_avail(r), rf);
-  }
-  for (const int s : senders) clocks.wait_until(s, cpu_avail(s));
 }
 
 void FatTree::drain(sim::Micros t) {
@@ -195,10 +249,7 @@ void FatTree::drain(sim::Micros t) {
   for (const std::int32_t dst : touched_queues_) {
     auto& pf = port_free_[static_cast<std::size_t>(dst)];
     pf = std::min(pf, t);
-    auto& q = queues_[static_cast<std::size_t>(dst)];
-    q.entries.clear();
-    q.head = 0;
-    q.per_sender.clear();
+    queues_[static_cast<std::size_t>(dst)].clear();
   }
   touched_queues_.clear();
   ++queue_epoch_;
@@ -208,11 +259,7 @@ void FatTree::reset() {
   std::fill(cpu_free_.begin(), cpu_free_.end(), 0.0);
   std::fill(port_free_.begin(), port_free_.end(), 0.0);
   cpu_floor_ = 0.0;
-  for (auto& q : queues_) {
-    q.entries.clear();
-    q.head = 0;
-    q.per_sender.clear();
-  }
+  for (auto& q : queues_) q.clear();
   touched_queues_.clear();
   ++queue_epoch_;
 }

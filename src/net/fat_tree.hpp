@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/router.hpp"
+#include "sim/gaussian_stream.hpp"
 
 // The CM-5 data network: a 4-ary fat tree with large bisection bandwidth.
 // For 64 nodes the internal links are rarely the bottleneck; communication
@@ -32,11 +33,19 @@
 //   4. receive handling: per destination serial CPU, o_recv + bytes*copy_recv.
 //
 // All state is held sparsely so a route() call costs O(active messages):
-// the event heap is seeded from the pattern's active-sender view, each
-// ejection port tracks its queued senders in a small sorted (sender, count)
-// vector instead of a P-wide table, ports touched this superstep are kept in
-// a list so drain() clips only those, and node CPU availability is
-// `max(cpu_floor_, stored)` so drain() is one floor assignment, not P writes.
+// the event queue is a tournament tree over the pattern's active senders,
+// each ejection port tracks its queued senders in a small sorted
+// (sender, count) vector instead of a P-wide table, ports touched this
+// superstep are kept in a list so drain() clips only those, and node CPU
+// availability is `max(cpu_floor_, stored)` so drain() is one floor
+// assignment, not P writes.
+//
+// Every message takes three jitter draws, in a fixed order, and nothing
+// else reads the Rng, so a route takes exactly 3 * pattern.size() draws. A
+// route of at least one sim::GaussianStream chunk of draws reads them from
+// a stream that computes them ahead on helper threads; smaller routes call
+// next_gaussian() inline. Both read the same values and leave the Rng in the
+// same state.
 
 namespace pcm::net {
 
@@ -80,25 +89,44 @@ class FatTree final : public Router {
     return std::max(cpu_floor_, cpu_free_[static_cast<std::size_t>(p)]);
   }
 
+  /// The event loop, with `draw()` yielding the next standard normal.
+  template <class Draw>
+  void route_events(const CommPattern& pattern, Draw&& draw);
+
+  /// Lane `a`'s next event precedes lane `b`'s: keyed (time, sender), and
+  /// lanes are in ascending sender order, so keys are distinct.
+  [[nodiscard]] bool lane_first(std::int32_t a, std::int32_t b) const {
+    const sim::Micros ta = lane_time_[static_cast<std::size_t>(a)];
+    const sim::Micros tb = lane_time_[static_cast<std::size_t>(b)];
+    return ta < tb || (ta == tb && a < b);
+  }
+
   FatTreeParams params_;
   std::vector<sim::Micros> cpu_free_;   ///< Per-node CPU (sends + receives).
   sim::Micros cpu_floor_ = 0.0;         ///< drain() raises this instead.
   std::vector<sim::Micros> port_free_;  ///< Per-node ejection port.
 
   // Per-destination port queue used for the distinct-sender count. The FIFO
-  // is a vector with a head cursor (no deque node allocation per queue) and
-  // the per-sender occupancy a small sorted vector — both empty and
-  // allocation-free for the (P - active) untouched destinations.
+  // is a vector with a head cursor (no deque node allocation per queue),
+  // compacted once the head passes kCompactAt so it holds about as many
+  // entries as are pending, and the per-sender occupancy a small sorted
+  // vector — both empty and allocation-free for the (P - active) untouched
+  // destinations.
   struct PortQueue {
     std::vector<std::pair<sim::Micros, std::int32_t>> entries;  ///< (admission end, sender)
     std::size_t head = 0;
-    std::vector<std::pair<std::int32_t, std::int32_t>> per_sender;  ///< (sender, count>0), sorted.
+    using SenderCount = std::pair<std::int32_t, std::int32_t>;
+    std::vector<SenderCount> per_sender;  ///< (sender, count>0), sorted.
+
+    static constexpr std::size_t kCompactAt = 32;
 
     [[nodiscard]] std::size_t pending() const { return entries.size() - head; }
     [[nodiscard]] int distinct() const { return static_cast<int>(per_sender.size()); }
-    [[nodiscard]] bool holds(std::int32_t sender) const;
-    void inc(std::int32_t sender);
-    void dec(std::int32_t sender);
+    /// First per_sender entry whose sender is not below `sender`.
+    [[nodiscard]] std::vector<SenderCount>::iterator find_sender(std::int32_t sender);
+    /// Retire the entries whose admission ended by `t`.
+    void retire_until(sim::Micros t);
+    void clear();
   };
   std::vector<PortQueue> queues_;
 
@@ -109,10 +137,18 @@ class FatTree final : public Router {
   std::uint64_t queue_epoch_ = 1;
 
   // Per-call scratch, reused across calls (initialised per call for the
-  // pattern's active nodes only).
-  std::vector<std::size_t> cursor_;
+  // pattern's active nodes only). A lane is one active sender, in ascending
+  // sender order; its queue is messages()[lane_next_, lane_end_).
   std::vector<sim::Micros> recv_free_;
-  std::vector<std::pair<sim::Micros, int>> heap_;  ///< min-heap of (time, src).
+  std::vector<sim::Micros> lane_time_;  ///< Next event; +inf once drained.
+  std::vector<std::size_t> lane_next_;
+  std::vector<std::size_t> lane_end_;
+  /// Loser tree over the lanes: [0] is the winner, [1, lanes) the loser at
+  /// each internal node; lane i is leaf lanes + i.
+  std::vector<std::int32_t> loser_;
+  std::vector<std::int32_t> winner_scratch_;  ///< Per-node winners at build.
+
+  sim::GaussianStream jitter_;
 };
 
 }  // namespace pcm::net

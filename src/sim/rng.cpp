@@ -18,6 +18,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+/// Uniform double in [0, 1) from one 64-bit word.
+double unit_double(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -35,6 +40,10 @@ std::uint64_t Rng::next_u64() {
   s_[2] ^= t;
   s_[3] = rotl(s_[3], 45);
   return result;
+}
+
+void Rng::discard(std::uint64_t words) {
+  for (std::uint64_t i = 0; i < words; ++i) (void)next_u64();
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
@@ -60,14 +69,19 @@ std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(next_below(span));
 }
 
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::next_double() { return unit_double(next_u64()); }
 
 double Rng::next_gaussian(double mean, double stddev) {
-  // Box-Muller; draws two uniforms every call so the stream stays aligned.
-  double u1 = next_double();
-  const double u2 = next_double();
+  // Two words every call, so the stream stays aligned.
+  const std::uint64_t first = next_u64();
+  const std::uint64_t second = next_u64();
+  return box_muller(first, second, mean, stddev);
+}
+
+double box_muller(std::uint64_t first, std::uint64_t second, double mean,
+                  double stddev) {
+  double u1 = unit_double(first);
+  const double u2 = unit_double(second);
   if (u1 <= 0.0) u1 = 0x1.0p-53;
   const double r = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);

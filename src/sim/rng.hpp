@@ -21,6 +21,9 @@ class Rng {
   /// Uniform 64-bit value.
   std::uint64_t next_u64();
 
+  /// Advance the stream by `words` next_u64() calls, discarding them.
+  void discard(std::uint64_t words);
+
   /// Uniform integer in [0, bound) using Lemire's rejection method.
   /// bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
@@ -31,7 +34,8 @@ class Rng {
   /// Uniform double in [0, 1).
   double next_double();
 
-  /// Normally distributed value (Box-Muller, no caching — deterministic).
+  /// Normally distributed value (Box-Muller, no caching — deterministic):
+  /// box_muller() of the next two next_u64() words.
   double next_gaussian(double mean = 0.0, double stddev = 1.0);
 
   /// Fisher-Yates shuffle.
@@ -65,5 +69,12 @@ class Rng {
  private:
   std::uint64_t s_[4];
 };
+
+/// The Box-Muller transform behind Rng::next_gaussian: `first` and `second`
+/// are the two next_u64() words a call consumes, in that order. A draw is a
+/// pure function of those two words, so it can be computed on any thread,
+/// ahead of use, with the same bits (see GaussianStream).
+double box_muller(std::uint64_t first, std::uint64_t second, double mean = 0.0,
+                  double stddev = 1.0);
 
 }  // namespace pcm::sim

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string_view>
 
+#include "audit/audit.hpp"
 #include "calibrate/microbench.hpp"
 #include "net/pattern.hpp"
 #include "sim/clockset.hpp"
@@ -249,6 +250,47 @@ constexpr PinnedFatTree kPinnedFatTree[] = {
 };
 
 TEST(FatTreePinned, Fig16AndCalibrationPatternsKeepTheirExactClocks) {
+  for (const auto& c : kPinnedFatTree) expect_pinned(c);
+}
+
+struct AuditOn {
+  AuditOn() { audit::set_enabled(true); }
+  ~AuditOn() { audit::set_enabled(false); }
+  AuditOn(const AuditOn&) = delete;
+  AuditOn& operator=(const AuditOn&) = delete;
+};
+
+// A route long enough to stream its jitter, whose one bulk message (sender
+// 0's 401st of 801, about half-way through the 153,792 draws) has a
+// negative injection cost: the auditor throws there, while helpers may be
+// transforming chunks ahead. Destroying the router right after must leave
+// no helper touching freed memory (the ASan and TSan builds check this),
+// and later routes must still be exact.
+TEST(FatTreeStream, AuditedRouteThatThrowsMidStreamLeavesNoHelperBehind) {
+  CommPattern pat(64);
+  for (int p = 0; p < 64; ++p) {
+    for (int i = 0; i <= 800; ++i) {
+      pat.add(p, (p + 1 + i) % 64, p == 0 && i == 400 ? 128 : 8);
+    }
+  }
+  ASSERT_GE(3 * pat.size(), 50 * sim::GaussianStream::kChunkDraws);
+  FatTreeParams params;
+  params.bulk_setup = -1000.0;
+  {
+    const AuditOn audit_on;
+    for (std::uint64_t rep = 0; rep < 20; ++rep) {
+      FatTree router(64, params);
+      sim::Rng rng(rep);
+      sim::ClockSet clocks(64);
+      try {
+        router.route(pat, clocks, rng);
+        ADD_FAILURE() << "the negative bulk cost was not reported";
+      } catch (const audit::AuditError& e) {
+        EXPECT_EQ(e.invariant(), "clock-monotonicity");
+        EXPECT_EQ(e.resource(), "fat-tree");
+      }
+    }
+  }
   for (const auto& c : kPinnedFatTree) expect_pinned(c);
 }
 

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
                                      .procs = env.procs,
                                      .seed = env.seed != 0 ? env.seed : 1118});
   bench::require_procs(env, algos::check_bitonic_procs, m->procs());
+  bench::require_procs(env, algos::check_samplesort_procs, m->procs());
   const int S = 64;  // oversampling ratio
 
   const std::vector<long> ms = env.quick

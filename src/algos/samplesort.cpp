@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "algos/bitonic.hpp"
 #include "algos/local/radix_sort.hpp"
@@ -169,10 +171,20 @@ std::vector<std::vector<std::uint32_t>> route_staggered(
 
 }  // namespace
 
+void check_samplesort_procs(int procs) {
+  // A power of two whose single set bit sits at an even position.
+  if (procs <= 0 || (procs & (procs - 1)) != 0 || (procs & 0x55555555) == 0) {
+    throw std::invalid_argument("samplesort: procs=" + std::to_string(procs) +
+                                " is not a perfect square and a power of two "
+                                "(a power of four)");
+  }
+}
+
 SampleSortResult run_samplesort(machines::Machine& m,
                                 const std::vector<std::uint32_t>& keys,
                                 int oversampling, SampleSortVariant v) {
   const int P = m.procs();
+  check_samplesort_procs(P);
   const int S = oversampling;
   assert(S > 0);
   assert(keys.size() % static_cast<std::size_t>(P) == 0);

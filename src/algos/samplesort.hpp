@@ -40,10 +40,15 @@ struct SampleSortResult {
 };
 
 /// Sort `keys` on the machine (P must be a perfect square and a power of
-/// two, e.g. 64). `oversampling` is the paper's S. The machine is reset
-/// first.
+/// two, e.g. 64; see check_samplesort_procs). `oversampling` is the paper's
+/// S. The machine is reset first.
 SampleSortResult run_samplesort(machines::Machine& m,
                                 const std::vector<std::uint32_t>& keys,
                                 int oversampling, SampleSortVariant v);
+
+/// Throws std::invalid_argument unless `procs` is a perfect square and a
+/// power of two (a power of four): sample sort sorts its samples with
+/// bitonic sort and runs its single-port phases on a sqrt(P) x sqrt(P) grid.
+void check_samplesort_procs(int procs);
 
 }  // namespace pcm::algos

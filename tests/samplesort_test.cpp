@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "test_util.hpp"
 
@@ -91,6 +92,21 @@ TEST(SampleSort, StaggeredPackedBeatsSinglePortRouting) {
       run_samplesort(*m, keys, 64, SampleSortVariant::StaggeredPacked);
   EXPECT_GT(bpram.time, 1.2 * packed.time);
   EXPECT_LT(bpram.time, 4.0 * packed.time);
+}
+
+TEST(SampleSort, ProcsMustBeAPowerOfFour) {
+  for (const int p : {1, 4, 16, 64, 256, 1024}) {
+    EXPECT_NO_THROW(check_samplesort_procs(p)) << p;
+  }
+  for (const int p : {0, -16, 2, 8, 32, 48, 128, 36}) {
+    EXPECT_THROW(check_samplesort_procs(p), std::invalid_argument) << p;
+  }
+  // Rejected at sample sort's entry, before any step runs.
+  auto m = machines::make_machine(
+      {.platform = machines::Platform::GCel, .procs = 32, .seed = 1});
+  const auto keys = test::random_keys(32 * 64, 5);
+  EXPECT_THROW(run_samplesort(*m, keys, 8, SampleSortVariant::Bpram),
+               std::invalid_argument);
 }
 
 TEST(SampleSort, VariantNames) {

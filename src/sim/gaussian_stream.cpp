@@ -3,9 +3,9 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
-#include <condition_variable>
 #include <mutex>
 #include <system_error>
 #include <thread>
@@ -21,11 +21,12 @@ namespace {
 
 // A chunk slot's life: the owner records in a Free slot the Rng state at
 // the chunk's first word, walks its own Rng past the chunk's words, and
-// publishes the slot (Ready). A helper claims it (Claimed) and marks it Done, or the owner
-// takes it first (Taken) and frees it once it has transformed the words
-// itself. An owner that reaches a Claimed chunk marks it Orphaned and
-// transforms the words itself; the helper then frees the slot when it
-// finishes. Only the owner moves a slot out of Free, Done or Taken.
+// publishes the slot (Ready). A helper claims it (Claimed) and marks it
+// Done, or the owner takes it first (Taken) and frees it once it has
+// transformed the words itself. An owner that reaches a Claimed chunk marks
+// it Orphaned and transforms the words itself; the helper then frees the
+// slot when it finishes. Only the owner moves a slot out of Free, Done or
+// Taken.
 //
 // Stores go through std::atomic_store_explicit rather than the member
 // store(): pcm-lint links callees by simple name, and a call named `store`
@@ -68,8 +69,7 @@ struct GaussianStream::Board {
     Rng start;              ///< The Rng at the chunk's first word.
   };
 
-  explicit Board(std::size_t slot_count)
-      : slots(slot_count), gaussians(slot_count * kChunkDraws), own(kChunkDraws) {}
+  Board() : gaussians(kMaxSlots * kChunkDraws), own(kChunkDraws) {}
 
   [[nodiscard]] double* gaussians_of(std::size_t s) {
     return gaussians.data() + s * kChunkDraws;
@@ -78,17 +78,17 @@ struct GaussianStream::Board {
   /// Claim the earliest Ready chunk, transform it and publish it; false if
   /// none was Ready. Runs on helper threads.
   bool help_one_chunk() {
-    std::size_t best = slots.size();
+    std::size_t best = kMaxSlots;
     std::uint64_t best_seq = 0;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
+    for (std::size_t s = 0; s < kMaxSlots; ++s) {
       if (slots[s].state.load(std::memory_order_relaxed) != kReady) continue;
       const std::uint64_t seq = slots[s].seq.load(std::memory_order_relaxed);
-      if (best == slots.size() || seq < best_seq) {
+      if (best == kMaxSlots || seq < best_seq) {
         best = s;
         best_seq = seq;
       }
     }
-    if (best == slots.size()) return false;
+    if (best == kMaxSlots) return false;
     Slot& slot = slots[best];
     int expected = kReady;
     if (!slot.state.compare_exchange_strong(expected, kClaimed,
@@ -107,9 +107,10 @@ struct GaussianStream::Board {
     return true;
   }
 
-  alignas(64) std::atomic<bool> open{false};  ///< Posted and not yet withdrawn.
-  std::atomic<int> helpers{0};                ///< Helpers serving this board.
-  std::vector<Slot> slots;
+  alignas(64) std::atomic<bool> open{false};  ///< Posted for helpers.
+  std::atomic<int> helpers{0};                ///< Helpers serving it.
+  std::size_t entry = 0;  ///< Owner-only: its entry in the posted table.
+  std::array<Slot, kMaxSlots> slots;
   std::vector<double> gaussians;  ///< kChunkDraws per slot.
   std::vector<double> own;        ///< Owner-only: chunks it transforms.
 };
@@ -118,7 +119,14 @@ namespace {
 
 using Board = GaussianStream::Board;
 
-// The process's helper threads and the boards of the streams open now.
+// The process's helper threads, the boards of the streams open now, and
+// every board ever made. Boards are recycled and never freed before the
+// helpers are joined, so a helper may hold a pointer to any board at any
+// time; a helper still finishing a chunk of a board that has moved on to
+// another stream is covered by the slot protocol above. No helper takes a
+// lock that a stream's owner takes: the owner posts and withdraws boards
+// with atomics and wakes sleeping helpers through an atomic wait counter,
+// so it never blocks on a helper.
 class JitterHelpers {
  public:
   static JitterHelpers& instance() {
@@ -130,41 +138,59 @@ class JitterHelpers {
     return static_cast<int>(threads_.size());
   }
 
-  void post_board(const std::shared_ptr<Board>& board) {
-    bool wake = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      std::atomic_store_explicit(&board->open, true, std::memory_order_release);
-      boards_.push_back(board);
-      wake = idle_ > 0;
+  Board* acquire_board() {
+    const std::lock_guard<std::mutex> lock(boards_mu_);
+    if (idle_.empty()) {
+      all_.push_back(std::make_unique<Board>());
+      return all_.back().get();
     }
-    if (wake) cv_.notify_all();
+    Board* b = idle_.back();
+    idle_.pop_back();
+    return b;
+  }
+
+  void release_board(Board* board) {
+    const std::lock_guard<std::mutex> lock(boards_mu_);
+    idle_.push_back(board);
+  }
+
+  /// Make `board` visible to the helpers and wake those that sleep; false
+  /// (and nothing posted) when every table entry is taken.
+  bool post_board(Board& board) {
+    std::atomic_store_explicit(&board.open, true, std::memory_order_release);
+    for (std::size_t i = 0; i < posted_.size(); ++i) {
+      Board* expected = nullptr;
+      if (posted_[i].compare_exchange_strong(expected, &board,
+                                             std::memory_order_acq_rel)) {
+        board.entry = i;
+        wake_.fetch_add(1, std::memory_order_release);
+        wake_.notify_all();
+        return true;
+      }
+    }
+    std::atomic_store_explicit(&board.open, false, std::memory_order_release);
+    return false;
   }
 
   void withdraw_board(Board& board) {
-    const std::lock_guard<std::mutex> lock(mu_);
     std::atomic_store_explicit(&board.open, false, std::memory_order_release);
-    const auto it = std::find_if(boards_.begin(), boards_.end(),
-                                 [&](const auto& b) { return b.get() == &board; });
-    if (it != boards_.end()) boards_.erase(it);
+    std::atomic_store_explicit(&posted_[board.entry], static_cast<Board*>(nullptr),
+                               std::memory_order_release);
   }
 
   JitterHelpers(const JitterHelpers&) = delete;
   JitterHelpers& operator=(const JitterHelpers&) = delete;
 
   ~JitterHelpers() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      std::atomic_store_explicit(&stop_, true, std::memory_order_relaxed);
-    }
-    cv_.notify_all();
+    std::atomic_store_explicit(&stop_, true, std::memory_order_release);
+    wake_.fetch_add(1, std::memory_order_release);
+    wake_.notify_all();
     for (auto& t : threads_) t.join();
   }
 
  private:
   JitterHelpers() {
     const int n = std::min(2, usable_cpus() - 1);
-    boards_.reserve(64);
     for (int i = 0; i < n; ++i) {
       try {
         threads_.emplace_back([this] { serve_boards(); });
@@ -174,23 +200,30 @@ class JitterHelpers {
     }
   }
 
+  /// The open posted board with the fewest helpers on it, or nullptr.
+  Board* pick_board() const {
+    Board* best = nullptr;
+    for (const auto& entry : posted_) {
+      Board* b = entry.load(std::memory_order_acquire);
+      if (b == nullptr || !b->open.load(std::memory_order_acquire)) continue;
+      if (best == nullptr || b->helpers.load(std::memory_order_relaxed) <
+                                 best->helpers.load(std::memory_order_relaxed)) {
+        best = b;
+      }
+    }
+    return best;
+  }
+
   void serve_boards() {
-    std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-      ++idle_;
-      cv_.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) || !boards_.empty();
-      });
-      --idle_;
-      if (stop_.load(std::memory_order_relaxed)) return;
-      // Serve the open board with the fewest helpers on it.
-      std::shared_ptr<Board> board = *std::min_element(
-          boards_.begin(), boards_.end(), [](const auto& a, const auto& b) {
-            return a->helpers.load(std::memory_order_relaxed) <
-                   b->helpers.load(std::memory_order_relaxed);
-          });
+      const std::uint32_t seen = wake_.load(std::memory_order_acquire);
+      if (stop_.load(std::memory_order_acquire)) return;
+      Board* board = pick_board();
+      if (board == nullptr) {
+        wake_.wait(seen, std::memory_order_acquire);  // no stream is open
+        continue;
+      }
       board->helpers.fetch_add(1, std::memory_order_relaxed);
-      lock.unlock();
       int idle_polls = 0;
       while (board->open.load(std::memory_order_acquire) &&
              !stop_.load(std::memory_order_relaxed)) {
@@ -203,15 +236,16 @@ class JitterHelpers {
         }
       }
       board->helpers.fetch_sub(1, std::memory_order_relaxed);
-      board.reset();  // may free the board of a stream that is gone
-      lock.lock();
     }
   }
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::shared_ptr<Board>> boards_;  ///< Open streams.
-  int idle_ = 0;
+  static constexpr std::size_t kPostedEntries = 64;
+
+  std::mutex boards_mu_;  ///< Guards all_ and idle_; helpers never take it.
+  std::vector<std::unique_ptr<Board>> all_;
+  std::vector<Board*> idle_;
+  std::array<std::atomic<Board*>, kPostedEntries> posted_{};
+  std::atomic<std::uint32_t> wake_{0};  ///< Bumped on every post and at exit.
   std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_;
 };
@@ -231,31 +265,22 @@ bool GaussianStream::worth_streaming(std::size_t count) {
 void GaussianStream::begin_stream(Rng& rng, std::size_t count) {
   end_stream();
   if (count == 0) return;
+  JitterHelpers& pool = JitterHelpers::instance();
+  board_ = pool.acquire_board();
   rng_ = &rng;
   undrawn_ = count;
-  const std::size_t slots =
-      std::min(kMaxSlots, (count + kChunkDraws - 1) / kChunkDraws);
-  if (board_ == nullptr || board_->slots.size() < slots) {
-    // Grow to this stream's size. A helper still finishing a chunk of the
-    // old board keeps it alive until it is done.
-    board_ = std::make_shared<Board>(slots);
-  }
   draw_ahead();
-  if (ahead_count_ > 0 && helper_threads() > 0) {
-    JitterHelpers::instance().post_board(board_);
-    posted_ = true;
-  }
+  posted_ = pool.thread_count() > 0 && pool.post_board(*board_);
 }
 
 void GaussianStream::draw_ahead() {
   Board& b = *board_;
-  while (undrawn_ > 0 && ahead_count_ < std::min(kAheadChunks, b.slots.size())) {
+  while (undrawn_ > 0 && ahead_count_ < kAheadChunks) {
     std::size_t s = 0;
-    while (s < b.slots.size() &&
-           b.slots[s].state.load(std::memory_order_acquire) != kFree) {
+    while (s < kMaxSlots && b.slots[s].state.load(std::memory_order_acquire) != kFree) {
       ++s;
     }
-    if (s == b.slots.size()) return;  // every slot busy: draw on demand
+    if (s == kMaxSlots) return;  // every slot busy: draw on demand
     const std::size_t n = std::min(kChunkDraws, undrawn_);
     b.slots[s].start = *rng_;
     rng_->discard(2 * n);
@@ -320,8 +345,9 @@ void GaussianStream::take_chunk() {
 
 void GaussianStream::end_stream() {
   if (rng_ == nullptr) return;
+  JitterHelpers& pool = JitterHelpers::instance();
   if (posted_) {
-    JitterHelpers::instance().withdraw_board(*board_);
+    pool.withdraw_board(*board_);
     posted_ = false;
   }
   release_held();
@@ -334,6 +360,8 @@ void GaussianStream::end_stream() {
     std::atomic_store_explicit(&state, kFree, std::memory_order_relaxed);  // Done
   }
   ahead_head_ = 0;
+  pool.release_board(board_);
+  board_ = nullptr;
   rng_ = nullptr;
   undrawn_ = 0;
   cur_ = nullptr;

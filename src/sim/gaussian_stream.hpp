@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "sim/rng.hpp"
 
@@ -31,15 +30,15 @@
 //
 // Threads: at most min(2, usable CPUs - 1) helpers exist in the process,
 // however many streams are open at once, with usable CPUs counted from the
-// process's affinity mask. They are started on the first stream worth
-// running and sleep on a condition variable whenever no stream is open;
-// while one is, they poll its chunks with a pause between polls.
+// process's affinity mask. They start with the first stream, sleep on an
+// atomic wait whenever no stream is open, and while one is, poll its chunks
+// with a pause between polls. The owner never takes a lock a helper holds.
 //
-// Memory: a stream's chunk buffers are sized to the largest stream it has
-// opened (at most kMaxSlots chunks) and kept, so steady-state streams
-// allocate nothing. Helpers hold a reference to the buffers while they work,
-// so destroying a stream, or unwinding out of one, never frees memory a
-// helper is still writing.
+// Memory: an open stream borrows one board of kMaxSlots chunk buffers
+// (about 56 KB) from a process-wide pool and returns it when it ends, so
+// steady-state streams allocate nothing. Boards are recycled, never freed
+// while helpers run, so ending a stream, or unwinding out of one while a
+// helper is still writing a chunk, never frees memory the helper touches.
 
 namespace pcm::sim {
 
@@ -104,7 +103,7 @@ class GaussianStream {
   void draw_ahead();
   void release_held();
 
-  std::shared_ptr<Board> board_;
+  Board* board_ = nullptr;  ///< Borrowed from the pool while a stream is open.
   Rng* rng_ = nullptr;
   std::size_t undrawn_ = 0;    ///< Draws not yet taken from the Rng.
   std::uint64_t next_seq_ = 0; ///< Stream position of the next chunk drawn.

@@ -104,6 +104,45 @@ void BM_FatTreeHRelation(benchmark::State& state) {
 }
 BENCHMARK(BM_FatTreeHRelation)->Arg(8)->Arg(64);
 
+/// Fig 16's replicate superstep in word mode (algos::run_matmul, BSP
+/// staggered): on the 64-node CM-5 grid q = 4, every node sends its A piece
+/// to the 3 other nodes of <i,j,*> and its B piece to <*,i,j>, one 8-byte
+/// message per word. With 64-word pieces that is 28,416 messages, or 85,248
+/// jitter draws in 84 stream chunks per route, so the draws run ahead on
+/// helper threads.
+void BM_FatTreeWordStream(benchmark::State& state) {
+  constexpr int q = 4;
+  constexpr int piece_words = 64;
+  const auto rank = [](int i, int j, int k) { return (i * q + j) * q + k; };
+  net::CommPattern pat(q * q * q);
+  for (int i = 0; i < q; ++i) {
+    for (int j = 0; j < q; ++j) {
+      for (int k = 0; k < q; ++k) {
+        const int self = rank(i, j, k);
+        for (int d = 1; d < q; ++d) {
+          for (int w = 0; w < piece_words; ++w) pat.add(self, rank(i, j, (k + d) % q), 8);
+        }
+        for (int d = 0; d < q; ++d) {
+          const int dst = rank((k + d) % q, i, j);
+          if (dst == self) continue;
+          for (int w = 0; w < piece_words; ++w) pat.add(self, dst, 8);
+        }
+      }
+    }
+  }
+  net::FatTree router(q * q * q);
+  sim::Rng rng(16);
+  sim::ClockSet clocks(q * q * q);
+  for (auto _ : state) {
+    router.reset();
+    clocks.reset();
+    router.route(pat, clocks, rng);
+    benchmark::DoNotOptimize(clocks.at(0));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(pat.size()));
+}
+BENCHMARK(BM_FatTreeWordStream);
+
 /// A full machine superstep loop (charge / exchange / barrier). Run with
 /// --benchmark_filter=Superstep and PCM_OBS unset vs PCM_OBS=1 to measure
 /// the observability plane's overhead: unset, the plane costs one branch

@@ -36,8 +36,7 @@
 // drop:rate=0.05:seed=7). Beyond those, a bench takes only the flags it
 // acts on, named in its call to parse_env; any other flag is a usage
 // error. The sweep benches take all of kSweepFlags: --trials=K, --jobs=N,
-// --seed=S, --procs=P, --retries=K / --cell-timeout-ms=T (per-cell
-// resilience policy), --checkpoint=DIR / --resume (crash-safe journal +
+// --seed=S, --procs=P, --checkpoint=DIR / --resume (crash-safe journal +
 // resumption), --metrics (superstep-resolved metric summary) and
 // --trace-out=FILE (Chrome trace-event JSON of one representative cell).
 // Sweeps run through the exec engine (exec/sweep.hpp): one fresh machine
@@ -62,8 +61,6 @@ struct Env {
   int jobs = 1;           ///< Sweep workers; 0 = one per hardware thread.
   std::uint64_t seed = 0; ///< 0 = use the bench's default seed.
   int procs = 0;          ///< 0 = the platform's Table 1 machine size.
-  int retries = 0;          ///< Extra attempts per failing cell.
-  double cell_timeout_ms = 0.0;  ///< Watchdog budget per cell; 0 = off.
   std::string checkpoint;   ///< Journal directory (empty = no journal).
   bool resume = false;      ///< Resume from the checkpoint journal.
   std::string trace_out;    ///< Chrome trace-event JSON path (empty = none).
@@ -74,8 +71,7 @@ struct Env {
 /// The flags a bench that runs its sweep through apply_env takes, in the
 /// form parse_env expects: flag names without "--", space-separated.
 constexpr std::string_view kSweepFlags =
-    "trials jobs seed procs retries cell-timeout-ms checkpoint resume "
-    "metrics trace-out";
+    "trials jobs seed procs checkpoint resume metrics trace-out";
 
 namespace detail {
 
@@ -111,11 +107,6 @@ constexpr FlagHelp kFlagHelp[] = {
      "               kind[:rate=R][:severity=X][:seed=S][:from=A][:to=B]\n"
      "               with kind one of drop, dup, dead-channel,\n"
      "               corrupt, straggler, barrier-stall\n"},
-    {"retries",
-     "  --retries=K  re-run a failing cell up to K more times\n"
-     "               (reseeded per attempt, deterministically)\n"},
-    {"cell-timeout-ms",
-     "  --cell-timeout-ms=T  cancel a cell stuck for T wall-clock ms\n"},
     {"checkpoint", "  --checkpoint=DIR     journal finished cells under DIR\n"},
     {"resume", "  --resume     skip cells already in the checkpoint journal\n"},
     {"metrics",
@@ -210,16 +201,6 @@ inline Env parse_env(int argc, char** argv, std::string_view takes) {
       } catch (const std::invalid_argument& e) {
         fail(std::string("--fault: ") + e.what());
       }
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      if (!detail::parse_number(arg.substr(10), &env.retries) ||
-          env.retries < 0) {
-        fail("--retries expects a non-negative integer, got '" + arg + "'");
-      }
-    } else if (arg.rfind("--cell-timeout-ms=", 0) == 0) {
-      if (!detail::parse_number(arg.substr(18), &env.cell_timeout_ms) ||
-          env.cell_timeout_ms <= 0.0) {
-        fail("--cell-timeout-ms expects a positive number, got '" + arg + "'");
-      }
     } else if (arg.rfind("--checkpoint=", 0) == 0) {
       env.checkpoint = arg.substr(13);
       if (env.checkpoint.empty()) {
@@ -275,7 +256,7 @@ inline void require_procs(const Env& env, void (*check)(int), int procs) {
 /// Fill the engine-facing fields of a SweepSpec from the parsed flags: the
 /// per-cell machine recipe, worker count, base seed (seed also becomes the
 /// calibration-machine seed, keeping the whole bench one seed family), and
-/// the resilience policy (retries, watchdog, checkpoint journal).
+/// the checkpoint journal.
 inline void apply_env(SweepSpec& spec, const Env& env,
                       const machines::MachineSpec& machine) {
   spec.machine = machine;
@@ -283,8 +264,6 @@ inline void apply_env(SweepSpec& spec, const Env& env,
   spec.jobs = env.jobs;
   spec.seed = machine.seed;
   if (env.trials > 0) spec.trials = env.trials;
-  spec.max_attempts = env.retries + 1;
-  spec.cell_timeout_ms = env.cell_timeout_ms;
   spec.checkpoint_dir = env.checkpoint;
   spec.resume = env.resume;
   spec.trace_out = env.trace_out;
@@ -323,8 +302,7 @@ inline void report(const exec::SweepResult& r, double scale = 1.0,
               << r.cells_total << " cells):\n";
     for (const auto& f : r.failures) {
       std::cout << "  cell " << f.cell << "  x=" << f.x << " trial=" << f.trial
-                << " attempts=" << f.attempts << " [" << f.kind << "] "
-                << f.message << "\n";
+                << " [" << f.kind << "] " << f.message << "\n";
     }
   }
 }

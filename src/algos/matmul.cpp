@@ -1,5 +1,6 @@
 #include "algos/matmul.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -92,11 +93,20 @@ class MatmulRun {
     }
   }
 
+  // The first piece_elems() words of a parcel: under a dup fault plan a
+  // duplicated word lengthens a word parcel, and the extra words trail the
+  // body.
+  [[nodiscard]] std::span<const T> clip(std::span<const T> parcel) const {
+    return parcel.first(
+        std::min(parcel.size(), static_cast<std::size_t>(piece_elems())));
+  }
+
   // Install an N/q^2-row piece into a full N/q x N/q block at row-slot `slot`.
   void install(std::vector<T>& full, int slot, std::span<const T> piece) {
     if (full.empty()) full.assign(static_cast<std::size_t>(bs_) * bs_, T{});
-    std::memcpy(&full[static_cast<std::size_t>(slot) * ps_ * bs_], piece.data(),
-                piece.size_bytes());
+    const auto body = clip(piece);
+    std::memcpy(&full[static_cast<std::size_t>(slot) * ps_ * bs_], body.data(),
+                body.size_bytes());
   }
 
   // ---- superstep 1: replicate A within <i,j,*>, B to <*,i,j> -------------
@@ -120,7 +130,6 @@ class MatmulRun {
         for_each_proc([&](int i, int j, int k, Local<T>& loc) {
           const int dst = rank((k + d) % q_, i, j);
           if (dst == rank(i, j, k)) {
-            ensure_b(loc);
             install(loc.b_full, k, loc.b_piece);
           } else {
             ex.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
@@ -141,7 +150,6 @@ class MatmulRun {
           const int ii = stag ? (k + d) % q_ : d;
           const int dst = rank(ii, i, j);
           if (dst == rank(i, j, k)) {
-            ensure_b(loc);
             install(loc.b_full, k, loc.b_piece);
           } else {
             ex.send(rank(i, j, k), dst, loc.b_piece, kBTagBase + k);
@@ -332,11 +340,7 @@ class MatmulRun {
         if (parcel.tag < kBTagBase) {
           install(loc.a_full, parcel.tag, parcel.data);
         } else {
-          ensure_b(loc);
-          std::memcpy(
-              &loc.b_full[static_cast<std::size_t>(parcel.tag - kBTagBase) *
-                          ps_ * bs_],
-              parcel.data.data(), parcel.data.size_bytes());
+          install(loc.b_full, parcel.tag - kBTagBase, parcel.data);
         }
       }
     }
@@ -355,11 +359,7 @@ class MatmulRun {
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
       for (const auto& parcel : box.at(p)) {
-        ensure_b(loc);
-        std::memcpy(
-            &loc.b_full[static_cast<std::size_t>(parcel.tag - kBTagBase) * ps_ *
-                        bs_],
-            parcel.data.data(), parcel.data.size_bytes());
+        install(loc.b_full, parcel.tag - kBTagBase, parcel.data);
       }
     }
   }
@@ -405,7 +405,8 @@ class MatmulRun {
 
   void accumulate_piece(Local<T>& loc, std::span<const T> piece) {
     ensure_c(loc);
-    for (std::size_t e = 0; e < piece.size(); ++e) loc.c_piece[e] += piece[e];
+    const auto body = clip(piece);
+    for (std::size_t e = 0; e < body.size(); ++e) loc.c_piece[e] += body[e];
   }
 
   void deliver_c(runtime::Exchange<T>& ex) {

@@ -14,10 +14,9 @@ namespace pcm::exec {
 
 namespace {
 
-constexpr const char* kMagicV1 = "pcm-sweep-journal v1 ";
-constexpr const char* kMagicV2 = "pcm-sweep-journal v2 ";
+constexpr const char* kMagic = "pcm-sweep-journal v3 ";
 
-/// FNV-1a 64-bit, the per-line checksum of the v2 journal format.
+/// FNV-1a 64-bit, the per-line checksum of the journal format.
 std::uint64_t fnv1a64(std::string_view text) {
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : text) {
@@ -64,7 +63,7 @@ bool parse_entry(const std::string& line, JournalEntry* e) {
   if (word == "ok") {
     e->ok = true;
     std::string value;
-    if (!(is >> e->attempts) || e->attempts < 1 || !(is >> value)) return false;
+    if (!(is >> value)) return false;
     // std::strtod accepts the hexfloat form ostreams emit; iostreams'
     // operator>> does not, hence the manual parse.
     char* end = nullptr;
@@ -81,9 +80,7 @@ bool parse_entry(const std::string& line, JournalEntry* e) {
   if (word == "fail") {
     e->ok = false;
     e->us = 0.0;
-    if (!(is >> e->attempts) || e->attempts < 1 || !(is >> e->kind)) {
-      return false;
-    }
+    if (!(is >> e->kind)) return false;
     std::getline(is, e->message);
     if (!e->message.empty() && e->message.front() == ' ') {
       e->message.erase(0, 1);
@@ -101,11 +98,10 @@ std::string one_line(const std::string& text) {
   return out;
 }
 
-/// Parse one record line of a `version` journal. Returns false when the
-/// line is malformed or (v2) fails its checksum.
-bool parse_line(const std::string& line, int version, JournalEntry* e) {
-  if (version < 2) return parse_entry(line, e);
-  // v2: "<fnv16> <payload>"; the checksum covers the payload verbatim.
+/// Parse one record line. Returns false when the line is malformed or fails
+/// its checksum.
+bool parse_line(const std::string& line, JournalEntry* e) {
+  // "<fnv16> <payload>"; the checksum covers the payload verbatim.
   const auto space = line.find(' ');
   if (space != 16 || line.size() < 18) return false;
   std::uint64_t want = 0;
@@ -126,18 +122,16 @@ bool parse_line(const std::string& line, int version, JournalEntry* e) {
   return parse_entry(payload, e);
 }
 
-std::string render_entry(const JournalEntry& entry, int version) {
+std::string render_entry(const JournalEntry& entry) {
   std::ostringstream line;
   line << "cell " << entry.cell;
   if (entry.ok) {
-    line << " ok " << entry.attempts << ' ' << std::hexfloat << entry.us;
+    line << " ok " << std::hexfloat << entry.us;
     if (!entry.obs.empty()) line << " obs " << entry.obs;
   } else {
-    line << " fail " << entry.attempts << ' '
-         << (entry.kind.empty() ? "unknown" : one_line(entry.kind)) << ' '
-         << one_line(entry.message);
+    line << " fail " << (entry.kind.empty() ? "unknown" : one_line(entry.kind))
+         << ' ' << one_line(entry.message);
   }
-  if (version < 2) return line.str();
   return checksum_hex(fnv1a64(line.str())) + ' ' + line.str();
 }
 
@@ -147,14 +141,12 @@ std::string render_entry(const JournalEntry& entry, int version) {
 struct JournalLoad {
   bool exists = false;          ///< File was present and readable.
   bool header_matches = false;  ///< First line matched the given header.
-  int version = 0;              ///< 1 or 2; 0 when header_matches is false.
   std::map<std::size_t, JournalEntry> entries;
   std::size_t corrupt_lines = 0;  ///< Interior lines skipped as corrupt.
 };
 
-/// Parse a journal file against the expected identity header. Version is
-/// dispatched from the header line: v1 lines are trusted as before, v2
-/// lines must pass their checksum. A malformed or checksum-failing *final*
+/// Parse a journal file against the expected identity header. Every record
+/// line must pass its checksum. A malformed or checksum-failing *final*
 /// line is ignored silently (the torn write of a killed process); any
 /// earlier one counts in corrupt_lines.
 JournalLoad read_journal(const std::string& path, const std::string& header) {
@@ -165,14 +157,7 @@ JournalLoad read_journal(const std::string& path, const std::string& header) {
 
   std::string line;
   if (!std::getline(in, line)) return load;
-  const std::string stripped = one_line(header);
-  if (line == kMagicV2 + stripped) {
-    load.version = 2;
-  } else if (line == kMagicV1 + stripped) {
-    load.version = 1;
-  } else {
-    return load;
-  }
+  if (line != kMagic + one_line(header)) return load;
   load.header_matches = true;
 
   // A malformed line is only *corrupt* if a well-formed line follows it —
@@ -181,7 +166,7 @@ JournalLoad read_journal(const std::string& path, const std::string& header) {
   std::size_t bad_pending = 0;
   JournalEntry e;
   while (std::getline(in, line)) {
-    if (parse_line(line, load.version, &e)) {
+    if (parse_line(line, &e)) {
       load.corrupt_lines += bad_pending;
       bad_pending = 0;
       load.entries[e.cell] = e;
@@ -214,7 +199,6 @@ CheckpointJournal::CheckpointJournal(const std::string& dir,
           "checkpoint: journal '" + path_ +
           "' belongs to a different sweep definition; refusing to resume");
     }
-    if (load.header_matches) version_ = load.version;
     loaded_ = std::move(load.entries);
     corrupt_lines_ = load.corrupt_lines;
     // Missing file on resume is fine: first run with --resume just starts.
@@ -242,15 +226,12 @@ CheckpointJournal::CheckpointJournal(const std::string& dir,
                              "' for writing");
   }
   if (needs_newline) out_ << '\n';
-  if (!append_mode) {
-    version_ = 2;  // fresh journals always use the current format
-    out_ << (version_ < 2 ? kMagicV1 : kMagicV2) << one_line(header) << '\n';
-  }
+  if (!append_mode) out_ << kMagic << one_line(header) << '\n';
   out_ << std::flush;
 }
 
 void CheckpointJournal::append(const JournalEntry& entry) {
-  const std::string line = render_entry(entry, version_);
+  const std::string line = render_entry(entry);
   const std::lock_guard<std::mutex> lock(mu_);
   out_ << line << '\n' << std::flush;
 }

@@ -11,22 +11,20 @@
 // CheckpointJournal: the crash-safe persistence behind --checkpoint/--resume.
 //
 // One journal file per sweep, append-only, one line per finished cell. The
-// current format (v2) prefixes every record with an FNV-1a 64 checksum of
-// the rest of the line:
+// format (v3) prefixes every record with an FNV-1a 64 checksum of the rest
+// of the line:
 //
-//   pcm-sweep-journal v2 <sweep identity header>
-//   <fnv16> cell <idx> ok <attempts> <hexfloat µs> [obs <token>]
-//   <fnv16> cell <idx> fail <attempts> <kind> <one-line message>
+//   pcm-sweep-journal v3 <sweep identity header>
+//   <fnv16> cell <idx> ok <hexfloat µs> [obs <token>]
+//   <fnv16> cell <idx> fail <kind> <one-line message>
 //
 // Appends are flushed line-at-a-time, so a SIGKILL loses at most the cell
 // that was mid-write — a torn *final* line is detected and silently ignored
-// on resume, exactly as before. The checksum extends that protection to the
-// journal's interior: a line corrupted in place (bit rot, a concurrent
-// writer gone wrong, a partial block flush) no longer has to *look* torn to
-// be caught — it fails its checksum, is skipped, and is *reported* through
-// corrupt_lines() instead of silently re-interpreted. Legacy v1 journals
-// (no checksum column) are still resumable; appending to one keeps writing
-// v1 records so the file stays uniformly parseable.
+// on resume. The checksum extends that protection to the journal's
+// interior: a line corrupted in place (bit rot, a concurrent writer gone
+// wrong, a partial block flush) no longer has to *look* torn to be caught —
+// it fails its checksum, is skipped, and is *reported* through
+// corrupt_lines() instead of silently re-interpreted.
 //
 // Measurements are serialised as hexfloat (%a), which round-trips a double
 // exactly; a resumed sweep therefore reassembles byte-identical output from
@@ -36,19 +34,18 @@
 // reassembles SweepResult::metrics too, not just the series.
 //
 // The filename embeds a hash of the identity header (experiment, machine,
-// axis, trials, seed, fault plan, retry budget), so a bench that runs
+// axis, trials, seed, fault plan), so a bench that runs
 // several sweeps into the same --checkpoint directory gets one journal
 // each, and resuming against a journal from a *different* sweep definition
 // is refused instead of silently mixing results.
 
 namespace pcm::exec {
 
-/// One journal record: the final outcome of a cell's attempt sequence.
+/// One journal record: the outcome of one cell.
 struct JournalEntry {
   std::size_t cell = 0;
   bool ok = false;
   double us = 0.0;      ///< Measured value; meaningful only when ok.
-  int attempts = 0;     ///< Attempts consumed (>= 1).
   std::string kind;     ///< Failure classification when !ok.
   std::string message;  ///< One-line failure message when !ok.
   std::string obs;      ///< Opaque encoded metrics snapshot (ok records
@@ -61,9 +58,8 @@ class CheckpointJournal {
   /// (created if missing). With resume=false any previous journal for this
   /// sweep is truncated; with resume=true its entries are loaded (torn
   /// trailing line ignored, corrupt interior lines skipped and counted) and
-  /// appending continues — in the file's own format version, so a v1
-  /// journal stays uniformly v1. Throws std::runtime_error on I/O failure
-  /// or a resume header mismatch.
+  /// appending continues. Throws std::runtime_error on I/O failure or a
+  /// resume header mismatch.
   CheckpointJournal(const std::string& dir, const std::string& experiment,
                     const std::string& header, bool resume);
 
@@ -89,7 +85,6 @@ class CheckpointJournal {
   std::mutex mu_;
   std::map<std::size_t, JournalEntry> loaded_;
   std::size_t corrupt_lines_ = 0;
-  int version_ = 2;  ///< Format written by append(); 1 when resuming a v1.
 };
 
 }  // namespace pcm::exec

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -8,15 +9,15 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
 #include "core/series.hpp"
 #include "exec/checkpoint.hpp"
-#include "exec/parallel_runner.hpp"
 #include "exec/progress.hpp"
-#include "exec/watchdog.hpp"
 #include "fault/plan.hpp"
 #include "machines/machine.hpp"
 #include "obs/metrics.hpp"
@@ -42,13 +43,13 @@
 // order, welding the results to the schedule.
 //
 // Resilience (this file's second job): a throwing cell — an AuditError, a
-// RaceError, a fault-plan-provoked failure, a watchdog cancellation — is
-// caught at the attempt boundary and recorded as a CellFailure instead of
-// tearing down the pool. Each retry attempt gets its own split of the cell
-// seed, so the retry sequence is as schedule-independent as the first
-// attempt. With a checkpoint directory configured every finished cell is
-// journalled (crash-safe, append-only), and a killed sweep resumed with
-// resume=true skips journalled cells and reassembles bit-identical output.
+// RaceError, a fault-plan-provoked failure — is caught at the cell boundary
+// and recorded as a CellFailure instead of tearing down the sweep. A cell
+// runs once: the simulation is deterministic, so a second run of the same
+// cell would fail the same way. With a checkpoint directory configured every
+// finished cell is journalled (crash-safe, append-only), and a killed sweep
+// resumed with resume=true skips journalled cells and reassembles
+// bit-identical output.
 
 namespace pcm::exec {
 
@@ -65,19 +66,17 @@ struct TrialContext {
   double x = 0.0;
   int trial = 0;
   std::uint64_t cell_seed = 0;
-  int attempt = 0;  ///< 0 on the first try, 1.. for retries.
 };
 
-/// One cell that exhausted its attempt budget. Failures are reported in
-/// cell-index order — like everything the engine emits, independent of the
-/// schedule that produced them.
+/// One cell whose measure threw. Failures are reported in cell-index order
+/// — like everything the engine emits, independent of the schedule that
+/// produced them.
 struct CellFailure {
   std::size_t cell = 0;
   double x = 0.0;
   int trial = 0;
-  int attempts = 0;     ///< Attempts consumed (== the budget).
-  std::string kind;     ///< "audit", "race", "timeout", "exception", ...
-  std::string message;  ///< One-line diagnostic from the last attempt.
+  std::string kind;     ///< "audit", "race", "exception", ...
+  std::string message;  ///< One-line diagnostic.
 };
 
 struct SweepSpec {
@@ -92,9 +91,7 @@ struct SweepSpec {
   std::function<double(TrialContext&)> measure;  ///< cell -> µs
   std::vector<Predictor> predictors;
 
-  // --- resilience policy ---------------------------------------------------
-  int max_attempts = 1;         ///< Attempt budget per cell (>= 1).
-  double cell_timeout_ms = 0.0; ///< Watchdog wall-clock budget; <= 0 = off.
+  // --- checkpoint journal --------------------------------------------------
   std::string checkpoint_dir;   ///< Journal directory; empty = no journal.
   bool resume = false;          ///< Skip cells already journalled.
 
@@ -138,8 +135,7 @@ inline std::string journal_header(const SweepSpec& spec) {
                   " y=" + spec.y_label +
                   " xs=" + std::to_string(spec.xs.size()) +
                   " trials=" + std::to_string(spec.trials) +
-                  " seed=" + std::to_string(spec.seed) +
-                  " attempts=" + std::to_string(spec.max_attempts);
+                  " seed=" + std::to_string(spec.seed);
   const auto plan = fault::active_plan();
   h += " fault=" + (plan ? fault::to_string(*plan) : std::string("none"));
   return h;
@@ -151,7 +147,6 @@ struct CellState {
   bool done = false;
   bool ok = false;
   double us = 0.0;
-  int attempts = 0;
   std::string kind;
   std::string message;
   obs::MetricsSnapshot snapshot;  ///< Touched metrics; empty when obs off.
@@ -168,80 +163,53 @@ inline sim::Rng seed_root(const SweepSpec& spec) {
   return sim::Rng(spec.seed != 0 ? spec.seed : spec.machine.seed);
 }
 
-/// Run one cell's full attempt sequence into `st`. Every thread worker of
-/// run_sweep funnels through here, so a cell's outcome is a pure function
-/// of (spec, c) no matter which worker computed it. `capture` (nullable)
-/// receives the trace spans when `c == trace_cell` and tracing is
-/// requested.
+/// Run cell `c` once into `st`. Every worker of run_sweep funnels through
+/// here, so a cell's outcome is a pure function of (spec, c) no matter which
+/// thread computed it. `capture` (nullable) receives the trace spans when
+/// `c == trace_cell` and tracing is requested.
 inline void run_cell(const SweepSpec& spec, const sim::Rng& root,
-                     std::size_t c, Watchdog& watchdog, bool tracing,
-                     std::size_t trace_cell,
+                     std::size_t c, bool tracing, std::size_t trace_cell,
                      std::optional<TraceCapture>* capture, CellState& st) {
   const std::size_t trials = spec.resolved_trials();
   const double x = spec.xs[c / trials];
   const int trial = static_cast<int>(c % trials);
-  const int max_attempts = spec.max_attempts > 1 ? spec.max_attempts : 1;
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
-    st.attempts = attempt + 1;
-    // Attempt 0 keeps the historical per-cell seed (existing sweep outputs
-    // are unchanged); each retry re-seeds through a further split, so the
-    // attempt sequence is deterministic but decorrelated.
-    const std::uint64_t cell_seed =
-        attempt == 0 ? root.split(c).next_u64()
-                     : root.split(c)
-                           .split(static_cast<std::uint64_t>(attempt))
-                           .next_u64();
-    try {
-      machines::MachineSpec mspec = spec.machine;
-      mspec.seed = cell_seed;
-      const auto machine = machines::make_machine(mspec);
-      if (tracing && c == trace_cell) machine->set_observing(true);
-      std::atomic<bool> cancelled{false};
-      machine->set_cancel(&cancelled);
-      // Each attempt arms its own fresh deadline: a retried cell gets the
-      // full wall-clock budget again, never the remainder of the attempt
-      // it replaced.
-      auto guard = watchdog.watch(&cancelled);
-      TrialContext ctx{*machine, x, trial, cell_seed, attempt};
-      const double us = spec.measure(ctx);
-      guard.release();
-      st.done = true;
-      st.ok = true;
-      st.us = us;
-      st.kind.clear();
-      st.message.clear();
-      if (machine->metrics().on()) st.snapshot = machine->metrics().snapshot();
-      if (tracing && c == trace_cell && capture != nullptr) {
-        capture->emplace(TraceCapture{
-            std::string(machine->name()),
-            machine->spans().tiled(machine->now(), machine->superstep())});
-      }
-      return;
-    } catch (const fault::CancelledError& e) {
-      st.kind = "timeout";
-      st.message = e.what();
-    } catch (const audit::AuditError& e) {
-      st.kind = "audit";
-      st.message = e.what();
-    } catch (const race::RaceError& e) {
-      st.kind = "race";
-      st.message = e.what();
-    } catch (const std::exception& e) {
-      st.kind = "exception";
-      st.message = e.what();
-    } catch (...) {
-      st.kind = "unknown";
-      st.message = "non-standard exception escaped measure()";
-    }
-  }
+  const std::uint64_t cell_seed = root.split(c).next_u64();
+  const bool traced = tracing && c == trace_cell;
   st.done = true;
+  try {
+    machines::MachineSpec mspec = spec.machine;
+    mspec.seed = cell_seed;
+    const auto machine = machines::make_machine(mspec);
+    if (traced) machine->set_observing(true);
+    TrialContext ctx{*machine, x, trial, cell_seed};
+    st.us = spec.measure(ctx);
+    if (machine->metrics().on()) st.snapshot = machine->metrics().snapshot();
+    if (traced && capture != nullptr) {
+      capture->emplace(TraceCapture{
+          std::string(machine->name()),
+          machine->spans().tiled(machine->now(), machine->superstep())});
+    }
+    st.ok = true;
+  } catch (const audit::AuditError& e) {
+    st.kind = "audit";
+    st.message = e.what();
+  } catch (const race::RaceError& e) {
+    st.kind = "race";
+    st.message = e.what();
+  } catch (const std::exception& e) {
+    st.kind = "exception";
+    st.message = e.what();
+  } catch (...) {
+    st.kind = "unknown";
+    st.message = "non-standard exception escaped measure()";
+  }
 }
 
 /// A finished cell as its journal record (the snapshot rides along encoded,
 /// so a resumed sweep reassembles metrics too).
 inline JournalEntry journal_entry_of(std::size_t c, const CellState& st) {
-  return JournalEntry{c,       st.ok,      st.us, st.attempts, st.kind,
-                      st.message, obs::encode_metrics_snapshot(st.snapshot)};
+  return JournalEntry{c, st.ok, st.us, st.kind, st.message,
+                      obs::encode_metrics_snapshot(st.snapshot)};
 }
 
 /// The inverse of journal_entry_of: a journal record back into a state slot.
@@ -250,7 +218,6 @@ inline CellState state_from_entry(const JournalEntry& e) {
   st.done = true;
   st.ok = e.ok;
   st.us = e.us;
-  st.attempts = e.attempts;
   st.kind = e.kind;
   st.message = e.message;
   st.snapshot = obs::decode_metrics_snapshot(e.obs);
@@ -281,8 +248,8 @@ inline void assemble(const SweepSpec& spec,
     const CellState& st = state[c];
     if (st.ok) continue;
     out->failures.push_back(CellFailure{c, spec.xs[c / trials],
-                                        static_cast<int>(c % trials),
-                                        st.attempts, st.kind, st.message});
+                                        static_cast<int>(c % trials), st.kind,
+                                        st.message});
   }
   for (const auto& p : spec.predictors) {
     core::PredictedSeries pred{p.model, {}};
@@ -349,18 +316,43 @@ inline SweepResult run_sweep(const SweepSpec& spec) {
     if (!state[c].done) pending.push_back(c);
   }
 
+  // The calling thread is always a worker, and min(jobs, pending) - 1
+  // threads join it: each claims the next pending index from one cursor, so
+  // --jobs=1 starts no thread and no sweep starts more threads than it has
+  // cells to run. An exception a cell lets escape is stored at its index.
   ProgressReporter progress(std::cerr, spec.experiment, pending.size());
-  Watchdog watchdog(spec.cell_timeout_ms);
-  ParallelRunner runner(spec.jobs);
-  const auto escaped = runner.for_each_collect(pending.size(), [&](std::size_t i) {
-    const std::size_t c = pending[i];
-    detail::CellState& st = state[c];
-    detail::run_cell(spec, root, c, watchdog, tracing, trace_cell, &capture,
-                     st);
-    if (journal) journal->append(detail::journal_entry_of(c, st));
-    progress.cell_done(spec.xs[c / trials], static_cast<int>(c % trials));
-  });
-  // An exception that escaped even the attempt loop (progress/journal I/O,
+  std::vector<std::exception_ptr> escaped(pending.size());
+  std::atomic<std::size_t> cursor{0};
+  const auto work = [&] {
+    for (std::size_t i = cursor++; i < pending.size(); i = cursor++) {
+      const std::size_t c = pending[i];
+      try {
+        detail::run_cell(spec, root, c, tracing, trace_cell, &capture,
+                         state[c]);
+        if (journal) journal->append(detail::journal_entry_of(c, state[c]));
+        progress.cell_done(spec.xs[c / trials], static_cast<int>(c % trials));
+      } catch (...) {
+        escaped[i] = std::current_exception();
+      }
+    }
+  };
+  {
+    const std::size_t jobs =
+        spec.jobs > 0 ? static_cast<std::size_t>(spec.jobs)
+                      : std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t threads = std::min(jobs, pending.size());
+    std::vector<std::jthread> helpers;
+    helpers.reserve(threads);
+    for (std::size_t t = 1; t < threads; ++t) {
+      try {
+        helpers.emplace_back(work);
+      } catch (const std::system_error&) {
+        break;  // the threads already running share the remaining cells
+      }
+    }
+    work();
+  }  // the helpers join here, before any slot is read
+  // An exception that escaped even run_cell (progress/journal I/O,
   // bad_alloc while classifying, ...) is an engine failure — still recorded
   // rather than rethrown, so one broken cell cannot sink the sweep.
   for (std::size_t i = 0; i < escaped.size(); ++i) {

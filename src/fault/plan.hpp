@@ -93,14 +93,4 @@ struct FaultPlan {
 [[nodiscard]] std::shared_ptr<const FaultPlan> active_plan();
 void set_plan(std::optional<FaultPlan> plan);
 
-/// Thrown by the Machine when its cancellation flag (set by the exec
-/// watchdog) is observed at a superstep boundary. Lives here — the lowest
-/// layer both machines/ and exec/ can see — so the simulators never need to
-/// know about the engine above them.
-class CancelledError final : public std::runtime_error {
- public:
-  explicit CancelledError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
 }  // namespace pcm::fault

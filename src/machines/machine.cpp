@@ -39,14 +39,6 @@ Machine::Machine(std::string name, int procs, LocalCompute compute,
   }
 }
 
-void Machine::check_cancel() const {
-  if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
-    throw fault::CancelledError("machine '" + name_ +
-                                "' cancelled at superstep " +
-                                std::to_string(superstep_));
-  }
-}
-
 void Machine::audit_fail(std::string invariant, std::string resource,
                          std::string detail) const {
   audit::AuditError e(std::move(invariant), std::move(resource),
@@ -100,7 +92,6 @@ void Machine::charge_all(sim::Micros us) {
 }
 
 void Machine::exchange(const net::CommPattern& pattern) {
-  check_cancel();
   last_faults_.clear();
   if (audit::enabled() && pattern.procs() != procs()) {
     audit_fail("packet-conservation", "pattern",
@@ -151,7 +142,6 @@ void Machine::exchange(const net::CommPattern& pattern) {
 }
 
 void Machine::barrier() {
-  check_cancel();
   const sim::Micros before = now();
   if (metrics_.on()) {
     // Skew is measured at barrier entry, before the clocks are levelled —

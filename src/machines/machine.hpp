@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -113,11 +112,6 @@ class Machine {
     return last_faults_;
   }
 
-  /// Register a cooperative cancellation flag (owned by the caller, may be
-  /// nullptr to detach). When set, the next exchange() or barrier() throws
-  /// fault::CancelledError — how the exec watchdog reclaims a hung cell.
-  void set_cancel(const std::atomic<bool>* flag) { cancel_ = flag; }
-
  protected:
   Machine(std::string name, int procs, LocalCompute compute,
           std::unique_ptr<net::Router> router, sim::Micros barrier_cost,
@@ -137,10 +131,6 @@ class Machine {
   std::vector<sim::Micros> audit_start_;  // audit-mode pre-route snapshot
   std::unique_ptr<fault::Injector> injector_;
   fault::ExchangeFaults last_faults_;
-  const std::atomic<bool>* cancel_ = nullptr;
-
-  /// Throw fault::CancelledError if the registered cancellation flag is set.
-  void check_cancel() const;
 
   /// Throw an audit::AuditError annotated with this machine and the
   /// current superstep.

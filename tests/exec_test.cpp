@@ -7,16 +7,14 @@
 
 #include "algos/bitonic.hpp"
 #include "calibrate/one_h_relation.hpp"
-#include "exec/parallel_runner.hpp"
 #include "exec/sweep.hpp"
-#include "exec/thread_pool.hpp"
 #include "test_util.hpp"
 
 // The engine's determinism contract: run_sweep(spec) is bit-identical for
 // every --jobs value, because each (x, trial) cell gets its own machine
 // seeded by a pure per-cell stream split. These tests pin that contract on
 // the two workload families the paper sweeps most (h-relations, bitonic
-// sort), plus the engine primitives themselves.
+// sort), plus the per-cell seeding they rest on.
 
 namespace pcm {
 namespace {
@@ -107,55 +105,6 @@ TEST(MachineSpec, FactoryHonoursSpec) {
   EXPECT_EQ(again->procs(), m->procs());
 }
 
-// ------------------------------------------------------------ pool / runner
-
-TEST(WorkStealingPool, RunsEverySubmittedTaskOnce) {
-  exec::WorkStealingPool pool(4);
-  constexpr int kTasks = 500;
-  std::vector<std::atomic<int>> hits(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&hits, i] { hits[static_cast<std::size_t>(i)]++; });
-  }
-  pool.wait();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkStealingPool, NestedSubmissionFromWorkers) {
-  exec::WorkStealingPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&] {
-      count++;
-      for (int j = 0; j < 5; ++j) pool.submit([&] { count++; });
-    });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 20 * 6);
-}
-
-TEST(ParallelRunner, CoversIndexSpaceAtAnyJobCount) {
-  for (const int jobs : {1, 2, 8}) {
-    exec::ParallelRunner runner(jobs);
-    std::vector<std::atomic<int>> hits(137);
-    runner.for_each(hits.size(), [&](std::size_t i) { hits[i]++; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ParallelRunner, PropagatesExceptions) {
-  exec::ParallelRunner runner(4);
-  EXPECT_THROW(runner.for_each(64,
-                               [](std::size_t i) {
-                                 if (i == 33) throw std::runtime_error("cell 33");
-                               }),
-               std::runtime_error);
-}
-
-TEST(ParallelRunner, ZeroJobsMeansHardware) {
-  exec::ParallelRunner runner(0);
-  EXPECT_GE(runner.jobs(), 1);
-}
-
 // ------------------------------------------------------------- determinism
 
 void expect_bit_identical(const core::ValidationSeries& a,
@@ -214,8 +163,19 @@ exec::SweepSpec gcel_bitonic_spec(int jobs) {
 
 TEST(RunSweep, MasParHRelationsBitIdenticalAcrossJobs) {
   const auto serial = exec::run_sweep(maspar_h_relation_spec(1));
-  const auto parallel = exec::run_sweep(maspar_h_relation_spec(8));
-  expect_bit_identical(serial.series, parallel.series);
+  // 8 workers; 0 = one per hardware thread; 16 is more than the 12 cells.
+  for (const int jobs : {8, 0, 16}) {
+    auto spec = maspar_h_relation_spec(jobs);
+    std::atomic<int> runs{0};
+    spec.measure = [&runs, measure = spec.measure](exec::TrialContext& ctx) {
+      ++runs;
+      return measure(ctx);
+    };
+    const auto parallel = exec::run_sweep(spec);
+    expect_bit_identical(serial.series, parallel.series);
+    EXPECT_TRUE(parallel.ok()) << "jobs=" << jobs;
+    EXPECT_EQ(runs.load(), 12) << "jobs=" << jobs;  // every cell exactly once
+  }
   EXPECT_TRUE(serial.ok());
   // Sanity: the sweep measured something.
   for (const auto& p : serial.series.points) EXPECT_GT(p.measured.mean, 0.0);
@@ -289,40 +249,6 @@ TEST(RunSweep, FailureLedgerIsBitIdenticalAcrossJobs) {
     EXPECT_EQ(serial.failures[i].cell, parallel.failures[i].cell);
     EXPECT_EQ(serial.failures[i].kind, parallel.failures[i].kind);
     EXPECT_EQ(serial.failures[i].message, parallel.failures[i].message);
-    EXPECT_EQ(serial.failures[i].attempts, parallel.failures[i].attempts);
-  }
-}
-
-TEST(RunSweep, RetriesAreBoundedAndCounted) {
-  auto spec = poisoned_spec(2);
-  spec.max_attempts = 3;
-  const auto r = exec::run_sweep(spec);
-  ASSERT_EQ(r.failures.size(), 1u);
-  EXPECT_EQ(r.failures[0].attempts, 3);
-}
-
-TEST(RunSweep, RetrySucceedsWhenFailureIsTransient) {
-  exec::SweepSpec spec = poisoned_spec(2);
-  spec.max_attempts = 2;
-  // Fail only on the first attempt of every cell; the retry (attempt 1)
-  // succeeds, so the sweep ends clean with attempts recorded per cell.
-  spec.measure = [](exec::TrialContext& ctx) {
-    if (ctx.attempt == 0) throw std::runtime_error("transient");
-    return ctx.x;
-  };
-  const auto r = exec::run_sweep(spec);
-  EXPECT_TRUE(r.ok()) << (r.failures.empty() ? "" : r.failures[0].message);
-  for (const auto& p : r.series.points) EXPECT_EQ(p.measured.n, 2u);
-}
-
-TEST(ParallelRunner, CollectIsolatesAndIndexesExceptions) {
-  exec::ParallelRunner runner(4);
-  const auto errors = runner.for_each_collect(64, [](std::size_t i) {
-    if (i % 13 == 0) throw std::runtime_error("bad " + std::to_string(i));
-  });
-  ASSERT_EQ(errors.size(), 64u);
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    EXPECT_EQ(static_cast<bool>(errors[i]), i % 13 == 0) << i;
   }
 }
 

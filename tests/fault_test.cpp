@@ -2,7 +2,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -10,10 +9,10 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
-#include <thread>
 #include <vector>
 
 #include "algos/bitonic.hpp"
+#include "algos/matmul.hpp"
 #include "audit/audit.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
@@ -30,7 +29,7 @@
 // grammar, (b) every fault kind's observable effect on each of the paper's
 // three machines, (c) that injected events are a pure function of
 // (plan, machine seed, trial) — so faulted sweeps stay bit-identical across
-// --jobs — and (d) the watchdog/retry/checkpoint round-trip.
+// --jobs — and (d) the checkpoint journal round-trip.
 
 namespace pcm {
 namespace {
@@ -191,6 +190,26 @@ TEST(FaultInjection, WordSyncBitonicClipsDuplicatedWordsToTheirWindow) {
   auto want = keys;
   std::sort(want.begin(), want.end());
   EXPECT_EQ(r.keys, want);
+}
+
+TEST(FaultInjection, WordMatmulClipsDuplicatedWordsToTheirPiece) {
+  // Under a dup plan a word parcel of BSP matmul grows past its piece (the
+  // duplicates trail the body). Each parcel must be clipped to its piece
+  // instead of copied past its slot in a_full/b_full or past c_piece; since
+  // the bodies are intact, the product equals the one without the plan.
+  constexpr int n = 16;
+  const auto a = test::random_matrix<double>(n, 17);
+  const auto b = test::random_matrix<double>(n, 18);
+  for (const auto variant : {algos::MatmulVariant::BspStaggered,
+                             algos::MatmulVariant::BspUnstaggered}) {
+    const auto clean = algos::run_matmul(*test::small_cm5(), a, b, n, variant);
+    const ScopedPlan plan("dup:rate=0.05:seed=3");
+    auto m = test::small_cm5();
+    const auto r = algos::run_matmul(*m, a, b, n, variant);
+    EXPECT_GT(m->injector()->counters().duplicated, 0)
+        << algos::to_string(variant);
+    EXPECT_EQ(r.c, clean.c) << algos::to_string(variant);
+  }
 }
 
 TEST(FaultInjection, BlockModeDropsAndDuplicatesWholeParcels) {
@@ -497,55 +516,34 @@ TEST(FaultInjection, StragglerTimingIsBitIdenticalAcrossJobs) {
   }
 }
 
-// --------------------------------------------- watchdog / retry / journal
-
-TEST(Resilience, WatchdogCancelsAHungCell) {
-  exec::SweepSpec spec;
-  spec.experiment = "fault-test-hang";
-  spec.x_label = "x";
-  spec.machine = {.platform = machines::Platform::GCel, .procs = 4,
-                  .seed = 5};
-  spec.xs = {1};
-  spec.trials = 1;
-  spec.jobs = 1;
-  spec.cell_timeout_ms = 25.0;
-  spec.measure = [](exec::TrialContext& ctx) -> double {
-    // An endless superstep loop: only the watchdog's cancellation flag,
-    // checked at each barrier, gets us out.
-    while (true) ctx.machine.barrier();
-  };
-  const auto r = exec::run_sweep(spec);
-  ASSERT_EQ(r.failures.size(), 1u);
-  EXPECT_EQ(r.failures[0].kind, "timeout");
-  EXPECT_NE(r.failures[0].message.find("cancelled"), std::string::npos);
-}
-
-TEST(Resilience, RetriesReseedDeterministically) {
-  const ScopedPlan plan("drop:rate=1:seed=3");  // every attempt loses data
-  auto spec = faulted_sweep_spec(2);
-  spec.max_attempts = 3;
-  const auto r = exec::run_sweep(spec);
-  ASSERT_EQ(r.failures.size(), r.cells_total);
-  for (const auto& f : r.failures) {
-    EXPECT_EQ(f.attempts, 3);
-    EXPECT_EQ(f.kind, "exception");
-  }
-}
+// ------------------------------------------------------ checkpoint journal
 
 TEST(Resilience, JournalRoundTripsEntriesExactly) {
   const ScopedTempDir tmp("journal-roundtrip");
   const std::string& dir = tmp.path();
   const exec::JournalEntry entries[] = {
-      {0, true, 123456.789012345678, 1, "", "", ""},
-      {3, true, 1e-9, 2, "", "", ""},
-      {5, false, 0.0, 3, "audit", "packet-conservation violated at pe:3", ""},
-      {7, true, 0.1, 1, "", "", ""},  // 0.1 is inexact in binary: hexfloat test
+      {0, true, 123456.789012345678, "", "", ""},
+      {3, true, 1e-9, "", "", ""},
+      {5, false, 0.0, "audit", "packet-conservation violated at pe:3", ""},
+      {7, true, 0.1, "", "", ""},  // 0.1 is inexact in binary: hexfloat test
   };
   std::string path;
   {
     exec::CheckpointJournal j(dir, "round/trip exp", "header v1", false);
     path = j.path();
     for (const auto& e : entries) j.append(e);
+  }
+  {
+    // The v3 layout: "<fnv16> cell <idx> ok <hexfloat>" and
+    // "<fnv16> cell <idx> fail <kind> <message>".
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string l; std::getline(in, l);) lines.push_back(l);
+    ASSERT_EQ(lines.size(), 5u);
+    EXPECT_EQ(lines[0], "pcm-sweep-journal v3 header v1");
+    EXPECT_EQ(lines[2].substr(16), " cell 3 ok 0x1.12e0be826d695p-30");
+    EXPECT_EQ(lines[3].substr(16),
+              " cell 5 fail audit packet-conservation violated at pe:3");
   }
   exec::CheckpointJournal j(dir, "round/trip exp", "header v1", true);
   EXPECT_EQ(j.path(), path);
@@ -555,7 +553,6 @@ TEST(Resilience, JournalRoundTripsEntriesExactly) {
     ASSERT_NE(it, j.loaded().end()) << e.cell;
     EXPECT_EQ(it->second.ok, e.ok);
     EXPECT_EQ(it->second.us, e.us);  // bit-exact through hexfloat
-    EXPECT_EQ(it->second.attempts, e.attempts);
     EXPECT_EQ(it->second.kind, e.kind);
     EXPECT_EQ(it->second.message, e.message);
   }
@@ -568,8 +565,8 @@ TEST(Resilience, JournalIgnoresTornFinalLine) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.5, 1, "", "", ""});
-    j.append({1, true, 2.5, 1, "", "", ""});
+    j.append({0, true, 1.5, "", "", ""});
+    j.append({1, true, 2.5, "", "", ""});
   }
   {
     // Simulate a SIGKILL mid-write: a truncated record, no newline.
@@ -578,7 +575,7 @@ TEST(Resilience, JournalIgnoresTornFinalLine) {
   }
   exec::CheckpointJournal j(dir, "exp", "H", true);
   EXPECT_EQ(j.loaded().size(), 2u);
-  j.append({2, true, 3.5, 1, "", "", ""});
+  j.append({2, true, 3.5, "", "", ""});
   exec::CheckpointJournal again(dir, "exp", "H", true);
   EXPECT_EQ(again.loaded().size(), 3u);
 }
@@ -590,54 +587,15 @@ TEST(Resilience, JournalRefusesAForeignHeader) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.0, 1, "", "", ""});
+    j.append({0, true, 1.0, "", "", ""});
   }
   {
     // Tamper: same file, different sweep identity line.
     std::ofstream out(path, std::ios::trunc);
-    out << "pcm-sweep-journal v1 SOMETHING ELSE\ncell 0 ok 1 0x1p+0\n";
+    out << "pcm-sweep-journal v3 SOMETHING ELSE\n";
   }
   EXPECT_THROW(exec::CheckpointJournal(dir, "exp", "H", true),
                std::runtime_error);
-}
-
-TEST(Resilience, RetriedCellGetsAFreshWatchdogBudget) {
-  // Regression: deadlines are armed per ATTEMPT, with a generation token so
-  // the stale guard of a timed-out attempt can never disarm whatever was
-  // re-armed into its freed slot. Every cell hangs on attempt 0 and is
-  // legitimately slow on attempt 1 — slow enough that an inherited or
-  // leaked remainder of the first attempt's budget would cancel it (or,
-  // with the slot-reuse bug, let a *different* cell's first attempt hang
-  // forever). All cells completing is the proof.
-  exec::SweepSpec spec;
-  spec.experiment = "fault-test-retry-budget";
-  spec.x_label = "x";
-  spec.machine = {.platform = machines::Platform::GCel, .procs = 4,
-                  .seed = 5};
-  spec.xs = {1, 2};
-  spec.trials = 2;
-  spec.jobs = 2;
-  spec.cell_timeout_ms = 60.0;
-  spec.max_attempts = 2;
-  spec.measure = [](exec::TrialContext& ctx) -> double {
-    if (ctx.attempt == 0) {
-      while (true) ctx.machine.barrier();  // cancelled by the watchdog
-    }
-    // The watchdog's deadline is wall-clock time, so a slow-but-live
-    // attempt has to burn real wall time to prove the budget was re-armed.
-    const auto t0 = std::chrono::steady_clock::now();  // pcm-lint:allow(wallclock)
-    while (std::chrono::steady_clock::now() - t0 <  // pcm-lint:allow(wallclock)
-           std::chrono::milliseconds(30)) {
-      ctx.machine.barrier();
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return ctx.x;
-  };
-  const auto r = exec::run_sweep(spec);
-  EXPECT_TRUE(r.ok()) << (r.failures.empty()
-                              ? ""
-                              : r.failures[0].kind + ": " +
-                                    r.failures[0].message);
 }
 
 TEST(Resilience, JournalSkipsAndReportsCorruptInteriorLines) {
@@ -647,9 +605,9 @@ TEST(Resilience, JournalSkipsAndReportsCorruptInteriorLines) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.5, 1, "", "", ""});
-    j.append({1, true, 2.5, 1, "", "", ""});
-    j.append({2, true, 3.5, 1, "", "", ""});
+    j.append({0, true, 1.5, "", "", ""});
+    j.append({1, true, 2.5, "", "", ""});
+    j.append({2, true, 3.5, "", "", ""});
   }
   {
     // Corrupt the INTERIOR record for cell 1 in place: flip one payload
@@ -679,7 +637,7 @@ TEST(Resilience, JournalRefusesATruncatedHeader) {
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
     path = j.path();
-    j.append({0, true, 1.0, 1, "", "", ""});
+    j.append({0, true, 1.0, "", "", ""});
   }
   {
     // A header torn mid-write identifies no sweep: refusing beats guessing.
@@ -695,51 +653,14 @@ TEST(Resilience, JournalDuplicateCellLaterWins) {
   const std::string& dir = tmp.path();
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
-    j.append({4, false, 0.0, 1, "exception", "first try", ""});
-    j.append({4, true, 7.25, 2, "", "", ""});
+    j.append({4, false, 0.0, "exception", "first run", ""});
+    j.append({4, true, 7.25, "", "", ""});
   }
   exec::CheckpointJournal j(dir, "exp", "H", true);
   ASSERT_EQ(j.loaded().size(), 1u);
   const auto& e = j.loaded().at(4);
   EXPECT_TRUE(e.ok);
   EXPECT_EQ(e.us, 7.25);
-  EXPECT_EQ(e.attempts, 2);
-}
-
-TEST(Resilience, LegacyV1JournalStillResumesAndStaysV1) {
-  const ScopedTempDir tmp("journal-v1");
-  const std::string& dir = tmp.path();
-  // Find the path the journal would use, then hand-write a v1 file there.
-  std::string path;
-  {
-    exec::CheckpointJournal j(dir, "exp", "H", false);
-    path = j.path();
-  }
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "pcm-sweep-journal v1 H\n"
-        << "cell 0 ok 1 0x1.8p+0\n"
-        << "cell 1 fail 2 audit packet lost\n";
-  }
-  {
-    exec::CheckpointJournal j(dir, "exp", "H", true);
-    ASSERT_EQ(j.loaded().size(), 2u);
-    EXPECT_EQ(j.loaded().at(0).us, 1.5);
-    EXPECT_EQ(j.loaded().at(1).kind, "audit");
-    j.append({2, true, 4.5, 1, "", "", ""});
-  }
-  // The append went out in the file's own (v1, checksum-free) format, so
-  // the journal stays uniformly parseable...
-  {
-    std::ifstream in(path);
-    std::vector<std::string> lines;
-    for (std::string l; std::getline(in, l);) lines.push_back(l);
-    ASSERT_EQ(lines.size(), 4u);
-    EXPECT_EQ(lines[3].rfind("cell 2 ok", 0), 0u);
-  }
-  // ...and a further resume sees all three cells.
-  exec::CheckpointJournal again(dir, "exp", "H", true);
-  EXPECT_EQ(again.loaded().size(), 3u);
 }
 
 TEST(Resilience, JournalCarriesTheObsTokenThroughARoundTrip) {
@@ -749,7 +670,6 @@ TEST(Resilience, JournalCarriesTheObsTokenThroughARoundTrip) {
   e.cell = 9;
   e.ok = true;
   e.us = 2.5;
-  e.attempts = 1;
   e.obs = "machine.barriers=c:12;machine.exchanges=c:5";
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
@@ -845,7 +765,6 @@ TEST(Resilience, ResumeRebuildsLedgerAndMetricsWithoutRerunning) {
     EXPECT_EQ(a.cell, b.cell);
     EXPECT_EQ(a.x, b.x);
     EXPECT_EQ(a.trial, b.trial);
-    EXPECT_EQ(a.attempts, b.attempts);
     EXPECT_EQ(a.kind, b.kind);
     EXPECT_EQ(a.message, b.message);
   }

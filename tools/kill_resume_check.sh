@@ -25,8 +25,8 @@ trap 'rm -rf "$WORK"' EXIT INT TERM
 # Csv::write never mkdirs.
 mkdir -p "$WORK/ref" "$WORK/killed" "$WORK/resumed"
 
-# A journal record line in either format: v2 "<fnv16> cell ..." or v1 "cell ...".
-RECORD='^([0-9a-f]{16} )?cell '
+# A journal record line: "<fnv16> cell ...".
+RECORD='^[0-9a-f]{16} cell '
 REF_CSV="$WORK/ref/$EXPERIMENT.csv"
 CSV="$WORK/resumed/$EXPERIMENT.csv"
 JOURNAL="$WORK/journal"

@@ -24,7 +24,8 @@
 //       form on the dominant exponent (the envelope is off — the paper
 //       itself reports constant-factor model error). Exit 1 on conflict.
 
-#include <cstring>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -43,6 +44,14 @@ int usage(std::ostream& os, int code) {
         "       model_drift --write-baseline [--machine M] [--out DIR]\n"
         "       model_drift --measure [--machine M] [--jobs N] [--quick]\n";
   return code;
+}
+
+/// Strict whole-token non-negative integer, by the rule of bench_common.hpp's
+/// detail::parse_number: std::from_chars must consume every character.
+bool parse_jobs(const std::string& text, int* out) {
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, *out);
+  return !text.empty() && ec == std::errc() && ptr == last && *out >= 0;
 }
 
 std::string read_file(const std::string& path) {
@@ -177,7 +186,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_dir = need_value("--out");
     } else if (arg == "--jobs") {
-      jobs = std::atoi(need_value("--jobs").c_str());
+      const std::string value = need_value("--jobs");
+      if (!parse_jobs(value, &jobs)) {
+        std::cerr << "model_drift: --jobs expects a non-negative integer "
+                     "(0 = all hardware threads), got '"
+                  << value << "'\n";
+        return usage(std::cerr, 2);
+      }
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--help" || arg == "-h") {

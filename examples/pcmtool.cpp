@@ -15,6 +15,7 @@
 // that is not a positive integer, or a --variant/--algo value outside the
 // list above is a usage error (exit 2) naming the flag.
 
+#include <algorithm>
 #include <charconv>
 #include <iostream>
 #include <map>
@@ -347,6 +348,10 @@ int cmd_sort(machines::Machine& m, const Options& o) {
   std::vector<std::uint32_t> keys(static_cast<std::size_t>(per_node) *
                                   static_cast<std::size_t>(m.procs()));
   for (auto& k : keys) k = static_cast<std::uint32_t>(rng.next_u64());
+  // The check is against the sorted input, not just the output's order: a
+  // kernel that loses or repeats keys can still return them in order.
+  auto want = keys;
+  std::sort(want.begin(), want.end());
 
   if (o.has("breakdown")) m.set_observing(true);
   double time = 0.0, per_key = 0.0;
@@ -357,7 +362,7 @@ int cmd_sort(machines::Machine& m, const Options& o) {
     const auto r = algos::run_samplesort(m, keys, 64, v);
     time = r.time;
     per_key = r.time_per_key;
-    sorted = algos::ref::is_sorted_keys(r.keys);
+    sorted = r.keys == want;
   } else {
     algos::BitonicVariant v = algos::BitonicVariant::Bpram;
     if (vname == "word") {
@@ -369,14 +374,15 @@ int cmd_sort(machines::Machine& m, const Options& o) {
     const auto r = algos::run_bitonic(m, keys, v);
     time = r.time;
     per_key = r.time_per_key;
-    sorted = algos::ref::is_sorted_keys(r.keys);
+    sorted = r.keys == want;
   }
   obs_capture(m);
   std::cout << algo << " (" << vname << ") with " << per_node
             << " keys/node on " << m.name() << ":\n  "
             << report::Table::num(time / 1e3, 1) << " ms total, "
             << report::Table::num(per_key, 1) << " us/key, "
-            << (sorted ? "output sorted" : "OUTPUT NOT SORTED!") << "\n";
+            << (sorted ? "output sorted" : "OUTPUT IS NOT THE SORTED INPUT!")
+            << "\n";
   if (o.has("breakdown")) breakdown(g_obs.spans);
   return sorted ? 0 : 1;
 }

@@ -413,9 +413,9 @@ class MatmulRun {
     const auto& box = ex.run();
     for (int p = 0; p < grid_.procs(); ++p) {
       auto& loc = local_[static_cast<std::size_t>(p)];
-      for (const auto& parcel : box.at(p)) {
+      runtime::for_each_parcel_once(m_, box.at(p), [&](const auto& parcel) {
         accumulate_piece(loc, parcel.data);
-      }
+      });
     }
   }
 

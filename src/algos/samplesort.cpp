@@ -92,13 +92,13 @@ std::vector<std::vector<std::uint32_t>> route_bpram(
         }
         const auto& box = ex.run();
         for (int p = 0; p < P; ++p) {
-          for (const auto& parcel : box.at(p)) {
+          runtime::for_each_parcel_once(m, box.at(p), [&](const auto& parcel) {
             const int count = parcel.tag;
             const auto& mv = in_flight[static_cast<std::size_t>(parcel.src)];
             for (int i = 0; i < count; ++i) {
               at[static_cast<std::size_t>(p)].push_back(mv[static_cast<std::size_t>(i)]);
             }
-          }
+          });
         }
         m.barrier();
       }
@@ -161,10 +161,10 @@ std::vector<std::vector<std::uint32_t>> route_staggered(
   const auto& box = ex.run();
   m.barrier();
   for (int p = 0; p < P; ++p) {
-    for (const auto& parcel : box.at(p)) {
+    runtime::for_each_parcel_once(m, box.at(p), [&](const auto& parcel) {
       auto& own = buckets[static_cast<std::size_t>(p)];
       own.insert(own.end(), parcel.data.begin(), parcel.data.end());
-    }
+    });
   }
   return buckets;
 }

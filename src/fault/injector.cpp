@@ -73,7 +73,7 @@ net::CommPattern Injector::apply_packet_faults(const net::CommPattern& pattern,
             ++counters_.dropped;
             // Fault-trace ledger, populated only when the caller asks for a
             // record of the injected faults (out != nullptr).
-            if (out != nullptr) out->dropped.push_back(fault);  // pcm-lint:allow(hot-path-alloc)
+            if (out != nullptr) out->dropped.push_back(fault);
             continue;  // lost in flight
           }
           break;
@@ -83,14 +83,14 @@ net::CommPattern Injector::apply_packet_faults(const net::CommPattern& pattern,
           if (dead_[static_cast<std::size_t>(m.src)] != 0 ||
               dead_[static_cast<std::size_t>(m.dst)] != 0) {
             ++counters_.dropped;
-            if (out != nullptr) out->dropped.push_back(fault);  // pcm-lint:allow(hot-path-alloc)
+            if (out != nullptr) out->dropped.push_back(fault);
             continue;
           }
           break;
         case FaultKind::DuplicatePacket:
           if (stream_.next_double() < plan_->rate) {
             ++counters_.duplicated;
-            if (out != nullptr) out->duplicated.push_back(fault);  // pcm-lint:allow(hot-path-alloc)
+            if (out != nullptr) out->duplicated.push_back(fault);
             duplicate = true;
           }
           break;

@@ -82,7 +82,7 @@ void Machine::charge_all(sim::Micros us) {
   assert(us >= 0.0);
   // Charging compute to every PE is dense by definition: the BSP/QSM cost
   // models bill the whole machine per superstep.
-  for (int p = 0; p < procs(); ++p) {  // pcm-lint:allow(dense-scan)
+  for (int p = 0; p < procs(); ++p) {
     sim::Micros scaled = us;
     if (injector_ != nullptr) {
       scaled *= injector_->compute_multiplier(p, superstep_);
@@ -166,7 +166,7 @@ void Machine::barrier() {
     // The audit invariant is per-PE by nature (every clock must sit on the
     // barrier instant) and only runs when auditing is on, so the O(P) walk
     // never touches a production run.
-    for (int p = 0; p < procs(); ++p) {  // pcm-lint:allow(dense-scan)
+    for (int p = 0; p < procs(); ++p) {
       if (clocks_.at(p) != t) {
         audit_fail("barrier-matching", "pe:" + std::to_string(p),
                    "clock at " + std::to_string(clocks_.at(p)) +

@@ -170,11 +170,11 @@ void FatTree::route_events(const CommPattern& pattern, Draw&& draw) {
       // Sorted insert into the per-port arbitration window: bounded by the
       // distinct senders in flight at one port, and the capacity persists
       // across drains.
-      q.per_sender.insert(held, {m.src, 1});  // pcm-lint:allow(hot-path-alloc)
+      q.per_sender.insert(held, {m.src, 1});
     }
     // Pending-window append: bounded by the arrivals in flight at one port
     // (retire_until compacts it), and the capacity persists across drains.
-    q.entries.emplace_back(  // pcm-lint:allow(hot-path-alloc)
+    q.entries.emplace_back(
         admission_end, m.src);
     if (queue_stamp_[static_cast<std::size_t>(m.dst)] != queue_epoch_) {
       queue_stamp_[static_cast<std::size_t>(m.dst)] = queue_epoch_;

@@ -45,7 +45,7 @@ void CommPattern::ensure_canonical() const {
       // Dense: one pass over the counts rebuilds the ascending list more
       // cheaply than sorting this many ids (a shuffled full relation).
       std::size_t n = 0;
-      for (std::size_t p = 0; p < p_count; ++p) {  // pcm-lint:allow(dense-scan) only when >= P/16 PEs send
+      for (std::size_t p = 0; p < p_count; ++p) {  // only when >= P/16 PEs send
         if (send_count_[p] != 0) senders_[n++] = static_cast<int>(p);
       }
     } else {

@@ -46,8 +46,8 @@ MetricId register_metric(std::string_view name, MetricKind kind) {
   }
   // Registration happens once per metric name for the whole process, not
   // per superstep; the hot path only ever hits the early-return above.
-  r.names.emplace_back(name);     // pcm-lint:allow(hot-path-alloc)
-  r.kinds.push_back(kind);        // pcm-lint:allow(hot-path-alloc)
+  r.names.emplace_back(name);
+  r.kinds.push_back(kind);
   return r.names.size() - 1;
 }
 

@@ -167,4 +167,23 @@ class Mailbox {
   long epoch_ = -1;
 };
 
+/// Calls `fn` on each of one destination's parcels (Mailbox::at()), taking
+/// a duplicated Block-mode parcel once. Under a dup fault plan the same
+/// staged parcel is delivered again, and Mailbox::refill writes the copies
+/// next to each other over the same data span; a separately staged parcel
+/// always has a span of its own. Receivers that add up what they receive
+/// use this; a machine without a fault injector delivers each parcel once.
+template <typename T, typename Fn>
+void for_each_parcel_once(const machines::Machine& m,
+                          std::span<const Parcel<T>> parcels, Fn&& fn) {
+  const bool faulted = m.injector() != nullptr;
+  for (std::size_t i = 0; i < parcels.size(); ++i) {
+    if (faulted && i > 0 &&
+        parcels[i].data.data() == parcels[i - 1].data.data()) {
+      continue;
+    }
+    fn(parcels[i]);
+  }
+}
+
 }  // namespace pcm::runtime

@@ -27,10 +27,6 @@ namespace {
 // it Orphaned and transforms the words itself; the helper then frees the
 // slot when it finishes. Only the owner moves a slot out of Free, Done or
 // Taken.
-//
-// Stores go through std::atomic_store_explicit rather than the member
-// store(): pcm-lint links callees by simple name, and a call named `store`
-// on the routing path would link it to every unrelated `store` function.
 enum SlotState : int { kFree, kReady, kClaimed, kDone, kTaken, kOrphaned };
 
 /// The `n` draws that start at `start`'s state: the words are regenerated

@@ -51,10 +51,10 @@ double mean_abs_relative_error(std::span<const double> measured,
   return acc / static_cast<double>(measured.size());
 }
 
-// Measurement-side sample sink (calibration/report), not the router hot
-// path — it only shares the simple name `add` with CommPattern::add.
+// Measurement-side sample sink (calibration/report): it grows with the
+// samples taken and never runs on a router's superstep path.
 void Accumulator::add(double x) {
-  values_.push_back(x);  // pcm-lint:allow(hot-path-alloc)
+  values_.push_back(x);
 }
 
 Summary Accumulator::summary() const {

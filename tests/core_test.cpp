@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -10,6 +11,7 @@
 #include "report/ascii_plot.hpp"
 #include "report/csv.hpp"
 #include "report/table.hpp"
+#include "test_util.hpp"
 
 namespace pcm::core {
 namespace {
@@ -121,11 +123,13 @@ TEST(Report, TableFormatting) {
 }
 
 TEST(Report, CsvWritesToDir) {
+  const test::ScopedTempPath dir("core-test-csv");
+  std::filesystem::create_directory(dir.path());
   report::Csv csv({"x", "y"});
   csv.add_row(std::vector<double>{1.0, 2.0});
   EXPECT_FALSE(csv.write("", "nope"));
-  EXPECT_TRUE(csv.write("/tmp", "pcm_csv_test"));
-  std::ifstream in("/tmp/pcm_csv_test.csv");
+  EXPECT_TRUE(csv.write(dir.path(), "pcm_csv_test"));
+  std::ifstream in(dir.path() + "/pcm_csv_test.csv");
   std::string line;
   std::getline(in, line);
   EXPECT_EQ(line, "x,y");

@@ -1,18 +1,16 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <vector>
 
 #include "algos/bitonic.hpp"
 #include "algos/matmul.hpp"
+#include "algos/samplesort.hpp"
 #include "audit/audit.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/sweep.hpp"
@@ -52,29 +50,6 @@ std::unique_ptr<machines::Machine> small_machine(machines::Platform p) {
   const int procs = p == machines::Platform::MasPar ? 64 : 16;
   return machines::make_machine({.platform = p, .procs = procs, .seed = 7});
 }
-
-/// A scratch directory named for the test and this process, removed when
-/// the test ends: two suites running at once (say, a release and a
-/// sanitizer build) never share journal files, and no run leaves any behind.
-class ScopedTempDir {
- public:
-  explicit ScopedTempDir(const std::string& name)
-      : path_(testing::TempDir() + "pcm-fault-test-" + name + "-" +
-              std::to_string(::getpid())) {
-    std::filesystem::remove_all(path_);
-  }
-  ~ScopedTempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  ScopedTempDir(const ScopedTempDir&) = delete;
-  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// One neighbour exchange (every PE sends 4 words to its successor),
 /// followed by a barrier. Returns the total elements delivered.
@@ -209,6 +184,44 @@ TEST(FaultInjection, WordMatmulClipsDuplicatedWordsToTheirPiece) {
     EXPECT_GT(m->injector()->counters().duplicated, 0)
         << algos::to_string(variant);
     EXPECT_EQ(r.c, clean.c) << algos::to_string(variant);
+  }
+}
+
+TEST(FaultInjection, BlockMatmulAddsADuplicatedPieceOnce) {
+  // Under a dup plan MP-BPRAM matmul receives a duplicated C piece as a
+  // whole second parcel over the same data. Adding it twice would corrupt
+  // the product; taken once, the product equals the one without the plan.
+  constexpr int n = 64;
+  const auto a = test::random_matrix<double>(n, 17);
+  const auto b = test::random_matrix<double>(n, 18);
+  const auto cm5 = [] {
+    return machines::make_machine(
+        {.platform = machines::Platform::CM5, .seed = 2026});
+  };
+  const auto clean =
+      algos::run_matmul(*cm5(), a, b, n, algos::MatmulVariant::Bpram);
+  const ScopedPlan plan("dup:rate=0.05:seed=3");
+  auto m = cm5();
+  const auto r = algos::run_matmul(*m, a, b, n, algos::MatmulVariant::Bpram);
+  EXPECT_GT(m->injector()->counters().duplicated, 0);
+  EXPECT_EQ(r.c, clean.c);
+}
+
+TEST(FaultInjection, BlockSampleSortKeepsEveryKeyOnce) {
+  // Both sample sort variants route keys as Block parcels; under a dup plan
+  // a duplicated parcel must not deliver its keys a second time.
+  const auto keys = test::random_keys(16 * 256, 2);
+  auto want = keys;
+  std::sort(want.begin(), want.end());
+  const ScopedPlan plan("dup:rate=0.05:seed=3");
+  for (const auto variant : {algos::SampleSortVariant::Bpram,
+                             algos::SampleSortVariant::StaggeredPacked}) {
+    auto m = machines::make_machine(
+        {.platform = machines::Platform::GCel, .procs = 16, .seed = 2026});
+    const auto r = algos::run_samplesort(*m, keys, 64, variant);
+    EXPECT_GT(m->injector()->counters().duplicated, 0)
+        << algos::to_string(variant);
+    EXPECT_EQ(r.keys, want) << algos::to_string(variant);
   }
 }
 
@@ -519,7 +532,7 @@ TEST(FaultInjection, StragglerTimingIsBitIdenticalAcrossJobs) {
 // ------------------------------------------------------ checkpoint journal
 
 TEST(Resilience, JournalRoundTripsEntriesExactly) {
-  const ScopedTempDir tmp("journal-roundtrip");
+  const test::ScopedTempPath tmp("fault-test-journal-roundtrip");
   const std::string& dir = tmp.path();
   const exec::JournalEntry entries[] = {
       {0, true, 123456.789012345678, "", "", ""},
@@ -559,7 +572,7 @@ TEST(Resilience, JournalRoundTripsEntriesExactly) {
 }
 
 TEST(Resilience, JournalIgnoresTornFinalLine) {
-  const ScopedTempDir tmp("journal-torn");
+  const test::ScopedTempPath tmp("fault-test-journal-torn");
   const std::string& dir = tmp.path();
   std::string path;
   {
@@ -581,7 +594,7 @@ TEST(Resilience, JournalIgnoresTornFinalLine) {
 }
 
 TEST(Resilience, JournalRefusesAForeignHeader) {
-  const ScopedTempDir tmp("journal-foreign");
+  const test::ScopedTempPath tmp("fault-test-journal-foreign");
   const std::string& dir = tmp.path();
   std::string path;
   {
@@ -599,7 +612,7 @@ TEST(Resilience, JournalRefusesAForeignHeader) {
 }
 
 TEST(Resilience, JournalSkipsAndReportsCorruptInteriorLines) {
-  const ScopedTempDir tmp("journal-corrupt");
+  const test::ScopedTempPath tmp("fault-test-journal-corrupt");
   const std::string& dir = tmp.path();
   std::string path;
   {
@@ -631,7 +644,7 @@ TEST(Resilience, JournalSkipsAndReportsCorruptInteriorLines) {
 }
 
 TEST(Resilience, JournalRefusesATruncatedHeader) {
-  const ScopedTempDir tmp("journal-trunchdr");
+  const test::ScopedTempPath tmp("fault-test-journal-trunchdr");
   const std::string& dir = tmp.path();
   std::string path;
   {
@@ -649,7 +662,7 @@ TEST(Resilience, JournalRefusesATruncatedHeader) {
 }
 
 TEST(Resilience, JournalDuplicateCellLaterWins) {
-  const ScopedTempDir tmp("journal-dup");
+  const test::ScopedTempPath tmp("fault-test-journal-dup");
   const std::string& dir = tmp.path();
   {
     exec::CheckpointJournal j(dir, "exp", "H", false);
@@ -664,7 +677,7 @@ TEST(Resilience, JournalDuplicateCellLaterWins) {
 }
 
 TEST(Resilience, JournalCarriesTheObsTokenThroughARoundTrip) {
-  const ScopedTempDir tmp("journal-obs");
+  const test::ScopedTempPath tmp("fault-test-journal-obs");
   const std::string& dir = tmp.path();
   exec::JournalEntry e;
   e.cell = 9;
@@ -681,7 +694,7 @@ TEST(Resilience, JournalCarriesTheObsTokenThroughARoundTrip) {
 }
 
 TEST(Resilience, CheckpointedSweepResumesBitIdentically) {
-  const ScopedTempDir tmp("resume");
+  const test::ScopedTempPath tmp("fault-test-resume");
   const std::string& dir = tmp.path();
   auto spec = faulted_sweep_spec(2);
   spec.checkpoint_dir = dir;
@@ -729,7 +742,7 @@ TEST(Resilience, ResumeRebuildsLedgerAndMetricsWithoutRerunning) {
     ObsOn() { obs::set_enabled(true); }
     ~ObsOn() { obs::set_enabled(was); }
   } obs_on;
-  const ScopedTempDir tmp("resume-all");
+  const test::ScopedTempPath tmp("fault-test-resume-all");
   const std::string& dir = tmp.path();
   auto spec = poisoned_grid_spec();
   spec.checkpoint_dir = dir;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -28,21 +27,7 @@
 namespace pcm {
 namespace {
 
-/// RAII toggle for the runtime flag of a plane (obs/audit/race).
-class FlagGuard {
- public:
-  FlagGuard(void (*set)(bool), bool (*get)(), bool want)
-      : set_(set), saved_(get()) {
-    set_(want);
-  }
-  ~FlagGuard() { set_(saved_); }
-
- private:
-  void (*set_)(bool);
-  bool saved_;
-};
-
-FlagGuard obs_on() { return {&obs::set_enabled, &obs::enabled, true}; }
+test::FlagGuard obs_on() { return {&obs::set_enabled, &obs::enabled, true}; }
 
 // ------------------------------------------------------------------ registry
 
@@ -464,8 +449,9 @@ TEST(ObsSweep, AuditAndRacePlanesDoNotPerturbMetrics) {
   const auto guard = obs_on();
   const auto plain = exec::run_sweep(obs_sweep_spec(2));
 
-  const FlagGuard audit_guard{&audit::set_enabled, &audit::enabled, true};
-  const FlagGuard race_guard{&race::set_enabled, &race::enabled, true};
+  const test::FlagGuard audit_guard{&audit::set_enabled, &audit::enabled,
+                                    true};
+  const test::FlagGuard race_guard{&race::set_enabled, &race::enabled, true};
   const auto checked = exec::run_sweep(obs_sweep_spec(2));
   EXPECT_EQ(obs::to_string(plain.metrics.totals),
             obs::to_string(checked.metrics.totals));
@@ -476,8 +462,8 @@ TEST(ObsSweep, AuditAndRacePlanesDoNotPerturbMetrics) {
 }
 
 TEST(ObsSweep, TraceOutWritesChromeJsonForLargestCell) {
-  const std::string path = testing::TempDir() + "obs_test_trace.json";
-  std::remove(path.c_str());
+  const test::ScopedTempPath trace("obs-test-trace");
+  const std::string& path = trace.path();
   auto spec = obs_sweep_spec(2);
   spec.trace_out = path;  // forces observability for the traced cell only
   const auto r = exec::run_sweep(spec);
@@ -494,7 +480,6 @@ TEST(ObsSweep, TraceOutWritesChromeJsonForLargestCell) {
   EXPECT_EQ(out.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(out.find("Parsytec GCel"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

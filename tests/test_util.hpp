@@ -1,8 +1,13 @@
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "machines/machine.hpp"
@@ -60,6 +65,47 @@ std::string transcript(const Box& box) {
   }
   return out;
 }
+
+/// RAII toggle for the runtime flag of a plane (obs/audit/race): sets it to
+/// `want` and restores the previous value when the scope ends.
+class FlagGuard {
+ public:
+  FlagGuard(void (*set)(bool), bool (*get)(), bool want)
+      : set_(set), saved_(get()) {
+    set_(want);
+  }
+  ~FlagGuard() { set_(saved_); }
+  FlagGuard(const FlagGuard&) = delete;
+  FlagGuard& operator=(const FlagGuard&) = delete;
+
+ private:
+  void (*set_)(bool);
+  bool saved_;
+};
+
+/// A scratch path under testing::TempDir() named for the test and this
+/// process, removed before use and when the test ends, whether a file or a
+/// directory lives there: two suites running at once (say, a release and a
+/// sanitizer build) never share files, and no run leaves any behind.
+class ScopedTempPath {
+ public:
+  explicit ScopedTempPath(const std::string& name)
+      : path_(testing::TempDir() + "pcm-" + name + "-" +
+              std::to_string(::getpid())) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScopedTempPath() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScopedTempPath(const ScopedTempPath&) = delete;
+  ScopedTempPath& operator=(const ScopedTempPath&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 template <typename T>
 double max_abs_diff(const std::vector<T>& a, const std::vector<T>& b) {

@@ -12,7 +12,36 @@ bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
-}  // namespace
+/// One linked definition, addressable across the whole parse set.
+struct Node {
+  std::size_t tu = 0;  ///< index into the TU vector
+  std::size_t fn = 0;  ///< index into that TU's functions
+};
+
+/// The repo-wide graph: every definition, indexed by simple name.
+class CallGraph {
+ public:
+  explicit CallGraph(const std::vector<sema::TranslationUnit>& tus);
+
+  /// Node ids (indices into all()) for every definition named `simple`.
+  [[nodiscard]] std::vector<std::size_t> resolve(
+      const std::string& simple) const;
+
+  [[nodiscard]] const std::vector<Node>& all() const { return nodes_; }
+
+  [[nodiscard]] const sema::FunctionDef& fn(std::size_t id) const;
+  [[nodiscard]] const std::string& file_of(std::size_t id) const;
+
+  /// True when `rel_path` may touch the host clock (src/exec/, tools/):
+  /// taint neither seeds in nor propagates through such files.
+  [[nodiscard]] static bool exempt(const std::string& rel_path);
+
+ private:
+  const std::vector<sema::TranslationUnit>* tus_;
+  std::vector<Node> nodes_;
+  // simple name -> node ids, kept sorted for deterministic iteration.
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> by_name_;
+};
 
 bool CallGraph::exempt(const std::string& rel_path) {
   return starts_with(rel_path, "src/exec/") || starts_with(rel_path, "tools/");
@@ -47,6 +76,8 @@ const sema::FunctionDef& CallGraph::fn(std::size_t id) const {
 const std::string& CallGraph::file_of(std::size_t id) const {
   return (*tus_)[nodes_[id].tu].rel_path;
 }
+
+}  // namespace
 
 std::vector<Diagnostic> determinism_taint(
     const std::vector<sema::TranslationUnit>& tus) {

@@ -27,37 +27,6 @@
 
 namespace pcm::lint::callgraph {
 
-/// One linked definition, addressable across the whole parse set.
-struct Node {
-  std::size_t tu = 0;  ///< index into the TU vector
-  std::size_t fn = 0;  ///< index into that TU's functions
-};
-
-/// The repo-wide graph: every definition, indexed by simple name.
-class CallGraph {
- public:
-  explicit CallGraph(const std::vector<sema::TranslationUnit>& tus);
-
-  /// Node ids (indices into all()) for every definition named `simple`.
-  [[nodiscard]] std::vector<std::size_t> resolve(
-      const std::string& simple) const;
-
-  [[nodiscard]] const std::vector<Node>& all() const { return nodes_; }
-
-  [[nodiscard]] const sema::FunctionDef& fn(std::size_t id) const;
-  [[nodiscard]] const std::string& file_of(std::size_t id) const;
-
-  /// True when `rel_path` may touch the host clock (src/exec/, tools/):
-  /// taint neither seeds in nor propagates through such files.
-  [[nodiscard]] static bool exempt(const std::string& rel_path);
-
- private:
-  const std::vector<sema::TranslationUnit>* tus_;
-  std::vector<Node> nodes_;
-  // simple name -> node ids, kept sorted for deterministic iteration.
-  std::vector<std::pair<std::string, std::vector<std::size_t>>> by_name_;
-};
-
 /// Run the determinism-taint rule over the full parse set. Diagnostics are
 /// unfiltered (the caller applies per-file suppressions) and unordered (the
 /// caller sorts).

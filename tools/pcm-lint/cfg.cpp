@@ -27,43 +27,19 @@ std::size_t match_forward(const std::vector<Token>& toks, std::size_t open,
   return limit;
 }
 
-/// Does this branch condition gate a diagnostics/cold path? Matches the
-/// repo's gating idioms: `audit::enabled()`, `metrics().on()`,
-/// `race::enabled()`, plus any identifier spelled like a debug/trace/audit
-/// flag. The then-branch of such a condition never runs in a clean hot
-/// loop, so hot-path-alloc ignores it.
-bool cond_is_cold(const std::vector<Token>& toks, std::size_t lo,
-                  std::size_t hi) {
-  for (std::size_t k = lo; k < hi; ++k) {
-    if (toks[k].kind != Tok::Ident) continue;
-    const std::string& s = toks[k].text;
-    if ((s == "enabled" || s == "on") && k + 1 < hi &&
-        toks[k + 1].kind == Tok::Punct && toks[k + 1].text == "(") {
-      return true;
-    }
-    if (s.find("audit") != std::string::npos ||
-        s.find("debug") != std::string::npos ||
-        s.find("trac") != std::string::npos ||
-        s.find("verbose") != std::string::npos) {
-      return true;
-    }
-  }
-  return false;
-}
-
 class Builder {
  public:
   Builder(const sema::TranslationUnit& tu, const sema::FunctionDef& fn)
       : toks_(tu.tokens), fn_(fn) {}
 
   Cfg build() {
-    cfg_.entry = new_block(false);
-    cfg_.exit = new_block(false);
+    cfg_.entry = new_block();
+    cfg_.exit = new_block();
     const std::size_t lo = fn_.body_begin + 1;
     const std::size_t hi =
         fn_.body_end < toks_.size() ? fn_.body_end : toks_.size();
     std::size_t i = lo;
-    const std::size_t out = parse_seq(i, hi, cfg_.entry, /*cold=*/false);
+    const std::size_t out = parse_seq(i, hi, cfg_.entry);
     if (out != kNoBlock) edge(out, cfg_.exit);
     if (bail_) return fallback(lo, hi);
     return std::move(cfg_);
@@ -75,9 +51,8 @@ class Builder {
     std::size_t exit;
   };
 
-  std::size_t new_block(bool cold) {
+  std::size_t new_block() {
     cfg_.blocks.push_back(BasicBlock{});
-    cfg_.blocks.back().cold = cold;
     return cfg_.blocks.size() - 1;
   }
 
@@ -128,22 +103,17 @@ class Builder {
 
   /// Parse statements until `end`; returns the fallthrough block, or
   /// kNoBlock when every path terminated (return/throw/break/continue).
-  std::size_t parse_seq(std::size_t& i, std::size_t end, std::size_t cur,
-                        bool cold) {
+  std::size_t parse_seq(std::size_t& i, std::size_t end, std::size_t cur) {
     while (i < end && !bail_) {
-      if (cur == kNoBlock) cur = new_block(cold);  // unreachable tail code
-      cur = parse_stmt(i, end, cur, cold);
-      // A cold-guard return (see parse_if) makes the continuation block
-      // cold; statements parsed after it must inherit that.
-      if (cur != kNoBlock) cold = cfg_.blocks[cur].cold;
+      if (cur == kNoBlock) cur = new_block();  // unreachable tail code
+      cur = parse_stmt(i, end, cur);
     }
     return cur;
   }
 
   /// Parse one statement into `cur`; returns the block control falls out
   /// of (possibly a fresh join block), or kNoBlock.
-  std::size_t parse_stmt(std::size_t& i, std::size_t end, std::size_t cur,
-                         bool cold) {
+  std::size_t parse_stmt(std::size_t& i, std::size_t end, std::size_t cur) {
     if (i >= end || bail_) return cur;
 
     if (is_ident(i, "switch") || is_ident(i, "goto")) {
@@ -153,32 +123,23 @@ class Builder {
     if (is_punct(i, "{")) {
       const std::size_t close = match_forward(toks_, i, end);
       std::size_t j = i + 1;
-      const std::size_t out = parse_seq(j, close, cur, cold);
+      const std::size_t out = parse_seq(j, close, cur);
       i = close < end ? close + 1 : end;
       return out;
     }
-    if (is_ident(i, "if")) return parse_if(i, end, cur, cold);
-    if (is_ident(i, "while")) return parse_while(i, end, cur, cold);
-    if (is_ident(i, "for")) return parse_for(i, end, cur, cold);
-    if (is_ident(i, "do")) return parse_do(i, end, cur, cold);
-    if (is_ident(i, "try")) return parse_try(i, end, cur, cold);
+    if (is_ident(i, "if")) return parse_if(i, end, cur);
+    if (is_ident(i, "while")) return parse_while(i, end, cur);
+    if (is_ident(i, "for")) return parse_for(i, end, cur);
+    if (is_ident(i, "do")) return parse_do(i, end, cur);
+    if (is_ident(i, "try")) return parse_try(i, end, cur);
     if (is_ident(i, "return")) {
       simple_stmt(i, end, cur);
       edge(cur, cfg_.exit);
       return kNoBlock;
     }
     if (is_ident(i, "throw")) {
-      const int line = toks_[i].line;
       simple_stmt(i, end, cur);
-      auto& b = cfg_.blocks[cur];
-      b.ends_in_throw = true;
-      b.throw_line = line;
-      if (!handlers_.empty()) {
-        edge(cur, handlers_.back());
-      } else {
-        b.throw_escapes = true;
-        edge(cur, cfg_.exit);
-      }
+      edge(cur, handlers_.empty() ? cfg_.exit : handlers_.back());
       return kNoBlock;
     }
     if (is_ident(i, "break")) {
@@ -204,8 +165,7 @@ class Builder {
     return cur;
   }
 
-  std::size_t parse_if(std::size_t& i, std::size_t end, std::size_t cur,
-                       bool cold) {
+  std::size_t parse_if(std::size_t& i, std::size_t end, std::size_t cur) {
     std::size_t j = i + 1;
     if (is_ident(j, "constexpr")) ++j;  // `if constexpr (...)`: a plain branch
     if (!is_punct(j, "(")) {
@@ -214,55 +174,43 @@ class Builder {
     }
     const std::size_t close = match_forward(toks_, j, end);
     add_range(cur, i, close + 1);
-    const bool branch_cold =
-        cold || cond_is_cold(toks_, j + 1, close);
-    std::size_t then_b = new_block(branch_cold);
+    std::size_t then_b = new_block();
     edge(cur, then_b);
     i = close + 1;
-    const std::size_t tend = parse_stmt(i, end, then_b, branch_cold);
+    const std::size_t tend = parse_stmt(i, end, then_b);
     if (is_ident(i, "else")) {
       ++i;
-      std::size_t else_b = new_block(cold);
+      std::size_t else_b = new_block();
       edge(cur, else_b);
-      const std::size_t eend = parse_stmt(i, end, else_b, cold);
+      const std::size_t eend = parse_stmt(i, end, else_b);
       if (tend == kNoBlock && eend == kNoBlock) return kNoBlock;
-      const std::size_t join = new_block(cold);
+      const std::size_t join = new_block();
       if (tend != kNoBlock) edge(tend, join);
       if (eend != kNoBlock) edge(eend, join);
       return join;
     }
-    // Cold guard return: `if (... || !race::enabled()) return;` puts the
-    // whole continuation behind the diagnostics gate. Requires the negation
-    // — `if (audit::enabled()) { ...; return; }` keeps a hot continuation.
-    bool negated = false;
-    for (std::size_t k = j + 1; k < close; ++k) {
-      if (toks_[k].kind == Tok::Punct && toks_[k].text == "!") negated = true;
-    }
-    const bool cont_cold =
-        cold || (branch_cold && negated && tend == kNoBlock);
-    const std::size_t join = new_block(cont_cold);
+    const std::size_t join = new_block();
     edge(cur, join);  // condition false
     if (tend != kNoBlock) edge(tend, join);
     return join;
   }
 
-  std::size_t parse_while(std::size_t& i, std::size_t end, std::size_t cur,
-                          bool cold) {
+  std::size_t parse_while(std::size_t& i, std::size_t end, std::size_t cur) {
     if (!is_punct(i + 1, "(")) {
       bail_ = true;
       return cur;
     }
     const std::size_t close = match_forward(toks_, i + 1, end);
-    const std::size_t head = new_block(cold);
+    const std::size_t head = new_block();
     edge(cur, head);
     add_range(head, i, close + 1);
-    const std::size_t exit_b = new_block(cold);
-    const std::size_t body = new_block(cold);
+    const std::size_t exit_b = new_block();
+    const std::size_t body = new_block();
     edge(head, body);
     edge(head, exit_b);
     loops_.push_back({head, exit_b});
     i = close + 1;
-    const std::size_t bend = parse_stmt(i, end, body, cold);
+    const std::size_t bend = parse_stmt(i, end, body);
     loops_.pop_back();
     if (bend != kNoBlock) {
       edge(bend, head);
@@ -271,23 +219,22 @@ class Builder {
     return exit_b;
   }
 
-  std::size_t parse_for(std::size_t& i, std::size_t end, std::size_t cur,
-                        bool cold) {
+  std::size_t parse_for(std::size_t& i, std::size_t end, std::size_t cur) {
     if (!is_punct(i + 1, "(")) {
       bail_ = true;
       return cur;
     }
     const std::size_t close = match_forward(toks_, i + 1, end);
-    const std::size_t head = new_block(cold);
+    const std::size_t head = new_block();
     edge(cur, head);
     add_range(head, i, close + 1);  // init + cond + increment
-    const std::size_t exit_b = new_block(cold);
-    const std::size_t body = new_block(cold);
+    const std::size_t exit_b = new_block();
+    const std::size_t body = new_block();
     edge(head, body);
     edge(head, exit_b);
     loops_.push_back({head, exit_b});
     i = close + 1;
-    const std::size_t bend = parse_stmt(i, end, body, cold);
+    const std::size_t bend = parse_stmt(i, end, body);
     loops_.pop_back();
     if (bend != kNoBlock) {
       edge(bend, head);
@@ -296,15 +243,14 @@ class Builder {
     return exit_b;
   }
 
-  std::size_t parse_do(std::size_t& i, std::size_t end, std::size_t cur,
-                       bool cold) {
-    const std::size_t body = new_block(cold);
+  std::size_t parse_do(std::size_t& i, std::size_t end, std::size_t cur) {
+    const std::size_t body = new_block();
     edge(cur, body);
-    const std::size_t cond = new_block(cold);
-    const std::size_t exit_b = new_block(cold);
+    const std::size_t cond = new_block();
+    const std::size_t exit_b = new_block();
     loops_.push_back({cond, exit_b});
     ++i;  // past `do`
-    const std::size_t bend = parse_stmt(i, end, body, cold);
+    const std::size_t bend = parse_stmt(i, end, body);
     loops_.pop_back();
     if (bend != kNoBlock) edge(bend, cond);
     if (!is_ident(i, "while") || !is_punct(i + 1, "(")) {
@@ -322,32 +268,30 @@ class Builder {
     return exit_b;
   }
 
-  std::size_t parse_try(std::size_t& i, std::size_t end, std::size_t cur,
-                        bool cold) {
+  std::size_t parse_try(std::size_t& i, std::size_t end, std::size_t cur) {
     if (!is_punct(i + 1, "{")) {
       bail_ = true;
       return cur;
     }
-    const std::size_t body = new_block(cold);
+    const std::size_t body = new_block();
     edge(cur, body);
-    const std::size_t landing = new_block(/*cold=*/true);
+    const std::size_t landing = new_block();
     handlers_.push_back(landing);
     const std::size_t close = match_forward(toks_, i + 1, end);
     std::size_t j = i + 2;
-    const std::size_t bend = parse_seq(j, close, body, cold);
+    const std::size_t bend = parse_seq(j, close, body);
     handlers_.pop_back();
     i = close < end ? close + 1 : end;
-    const std::size_t join = new_block(cold);
+    const std::size_t join = new_block();
     if (bend != kNoBlock) edge(bend, join);
     bool any_handler = false;
     while (is_ident(i, "catch") && is_punct(i + 1, "(")) {
       any_handler = true;
       const std::size_t pclose = match_forward(toks_, i + 1, end);
-      const std::size_t handler = new_block(/*cold=*/true);
-      cfg_.blocks[handler].catch_entry = true;
+      const std::size_t handler = new_block();
       edge(landing, handler);
       i = pclose + 1;
-      const std::size_t hend = parse_stmt(i, end, handler, /*cold=*/true);
+      const std::size_t hend = parse_stmt(i, end, handler);
       if (hend != kNoBlock) edge(hend, join);
     }
     if (!any_handler) edge(landing, cfg_.exit);  // malformed: be conservative

@@ -21,12 +21,6 @@
 // [begin, end) windows into TranslationUnit::tokens (a join block keeps
 // collecting the statements after the construct that created it, so ranges
 // need not be contiguous).
-//
-// Cold marking: a block is cold when it is only reachable through a
-// diagnostics-gated branch (`audit::enabled()`, `metrics().on()`,
-// `trace`/`debug`-flavoured conditions) or when it funnels into a `throw`.
-// hot-path-alloc uses this to ignore error-message construction on paths
-// that never run in a clean hot loop.
 
 namespace pcm::lint::flow {
 
@@ -36,16 +30,6 @@ struct BasicBlock {
   /// Token windows [begin, end) into the TU stream, in source order.
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   std::vector<std::size_t> succs;
-  /// True when only reachable via a diagnostics-gated branch or a throw path.
-  bool cold = false;
-  /// Block ends in a `throw` statement.
-  bool ends_in_throw = false;
-  /// The throw (if any) leaves the function: no enclosing catch handler.
-  bool throw_escapes = false;
-  /// Entry block of a catch handler.
-  bool catch_entry = false;
-  /// 1-based line of the terminating throw (0 when none).
-  int throw_line = 0;
 };
 
 struct Cfg {
@@ -56,13 +40,6 @@ struct Cfg {
   bool structured = true;
   /// Loop back edges (from, to) — `to` is a loop head.
   std::vector<std::pair<std::size_t, std::size_t>> back_edges;
-
-  [[nodiscard]] bool is_back_edge(std::size_t from, std::size_t to) const {
-    for (const auto& [f, t] : back_edges) {
-      if (f == from && t == to) return true;
-    }
-    return false;
-  }
 };
 
 /// Build the CFG for one parsed function body.

@@ -1,8 +1,8 @@
 #include "dataflow.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
-#include <set>
 
 namespace pcm::lint::flow {
 
@@ -685,111 +685,6 @@ FlowSummaries::FlowSummaries(const std::vector<sema::TranslationUnit>& tus) {
 Interval FlowSummaries::returns(const std::string& name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? Interval::top() : it->second;
-}
-
-// --- resource lattice --------------------------------------------------------
-
-const char* release_of(const std::string& acquire) {
-  if (acquire == "fopen") return "fclose";
-  if (acquire == "open") return "close";
-  if (acquire == "watch") return "unwatch";
-  if (acquire == "lock") return "unlock";
-  if (acquire == "acquire") return "release";
-  return nullptr;
-}
-
-namespace {
-
-bool is_release_name(const std::string& s) {
-  return s == "fclose" || s == "close" || s == "unwatch" || s == "unlock" ||
-         s == "release";
-}
-
-}  // namespace
-
-ResEnv join_res(const ResEnv& a, const ResEnv& b) {
-  ResEnv out;
-  std::set<std::string> keys;
-  for (const auto& [k, v] : a) keys.insert(k);
-  for (const auto& [k, v] : b) keys.insert(k);
-  for (const auto& k : keys) {
-    const auto ia = a.find(k);
-    const auto ib = b.find(k);
-    const bool holds_a =
-        ia != a.end() && ia->second.state != Res::Released;
-    const bool holds_b =
-        ib != b.end() && ib->second.state != Res::Released;
-    if (!holds_a && !holds_b) {
-      // Released (or never acquired) on both paths: keep a Released marker
-      // only when one side saw the resource at all.
-      if (ia != a.end()) {
-        out[k] = ia->second;
-      } else if (ib != b.end()) {
-        out[k] = ib->second;
-      }
-      continue;
-    }
-    const ResFact& carrier = holds_a ? ia->second : ib->second;
-    ResFact f = carrier;
-    if (!(holds_a && holds_b &&
-          ia->second.state == ib->second.state)) {
-      f.state = Res::Maybe;
-    }
-    out[k] = f;
-  }
-  return out;
-}
-
-ResEnv res_transfer(const sema::TranslationUnit& tu, const Cfg& cfg,
-                    std::size_t block, ResEnv env) {
-  const auto& toks = tu.tokens;
-  for (const auto& [rlo, rhi] : cfg.blocks[block].ranges) {
-    for (std::size_t k = rlo; k + 1 < rhi; ++k) {
-      if (toks[k].kind != Tok::Ident) continue;
-      // Member acquire/release: recv.watch(...) / recv.unwatch(...).
-      if (k + 3 < rhi && toks[k + 1].kind == Tok::Punct &&
-          (toks[k + 1].text == "." || toks[k + 1].text == "->") &&
-          toks[k + 2].kind == Tok::Ident && toks[k + 3].kind == Tok::Punct &&
-          toks[k + 3].text == "(") {
-        const std::string& recv = toks[k].text;
-        const std::string& callee = toks[k + 2].text;
-        if (release_of(callee) != nullptr) {
-          env[recv] = ResFact{Res::Acquired, toks[k].line,
-                              recv + "." + callee + "()"};
-        } else if (is_release_name(callee)) {
-          env[recv] = ResFact{Res::Released, toks[k].line, ""};
-        }
-        k += 2;
-        continue;
-      }
-      // Assignment acquire: h = fopen(...).
-      if (k + 2 < rhi && toks[k + 1].kind == Tok::Punct &&
-          toks[k + 1].text == "=") {
-        std::size_t c = k + 2;
-        while (c + 1 < rhi && toks[c].kind == Tok::Ident &&
-               toks[c + 1].kind == Tok::Punct && toks[c + 1].text == "::") {
-          c += 2;  // std::fopen
-        }
-        if (c + 1 < rhi && toks[c].kind == Tok::Ident &&
-            toks[c + 1].kind == Tok::Punct && toks[c + 1].text == "(" &&
-            release_of(toks[c].text) != nullptr) {
-          env[toks[k].text] = ResFact{Res::Acquired, toks[k].line,
-                                      toks[c].text + "()"};
-        }
-        continue;
-      }
-      // Free release: fclose(h) / close(h).
-      if (k + 2 < rhi && toks[k + 1].kind == Tok::Punct &&
-          toks[k + 1].text == "(" && is_release_name(toks[k].text) &&
-          toks[k + 2].kind == Tok::Ident &&
-          (k == rlo || !(toks[k - 1].kind == Tok::Punct &&
-                         (toks[k - 1].text == "." ||
-                          toks[k - 1].text == "->")))) {
-        env[toks[k + 2].text] = ResFact{Res::Released, toks[k].line, ""};
-      }
-    }
-  }
-  return env;
 }
 
 }  // namespace pcm::lint::flow

@@ -15,23 +15,17 @@
 // caller supplies transfer/join/equality, and a widening operator that the
 // solver applies at blocks visited more than `widen_after` times (loop
 // heads under the structured builder; the single fallback block otherwise).
-// With the shipped domains, widening drops any still-changing fact to top,
+// With the interval domain, widening drops any still-changing fact to top,
 // so termination is by key-set shrinkage, not iteration luck.
 //
-// Two domains ship with the engine:
-//
-//   Interval — value ranges for integer-flavoured locals. Seeded from
-//   MachineSpec.procs-style bounds: any `procs`/`pes` spelling (variable,
-//   member, call, `spec.procs`) is worth [1, 2^20], the 1M-PE ceiling PR 6
-//   scaled the simulators toward. Absent key = top (unknown); rules built
-//   on the domain fire only on *known* intervals, so unknowable code stays
-//   silent instead of noisy. Function return intervals propagate
-//   interprocedurally through the callgraph's simple-name link (bounded
-//   fixpoint, see FlowSummaries).
-//
-//   Resource — an acquired/released state machine for throw-leak: fopen/
-//   fclose, open/close, watch/unwatch, lock/unlock, acquire/release pairs,
-//   tracked per receiver object or per assigned handle.
+// The interval domain is the one cost-overflow reads: value ranges for
+// integer-flavoured locals. Seeded from MachineSpec.procs-style bounds: any
+// `procs`/`pes` spelling (variable, member, call, `spec.procs`) is worth
+// [1, 2^20], the 1M-PE ceiling the simulators scale to. Absent key = top
+// (unknown); a rule built on the domain fires only on *known* intervals, so
+// unknowable code stays silent instead of noisy. Function return intervals
+// propagate interprocedurally through the callgraph's simple-name link
+// (bounded fixpoint, see FlowSummaries).
 
 namespace pcm::lint::flow {
 
@@ -140,33 +134,6 @@ struct EvalResult {
     const sema::TranslationUnit& tu, const Cfg& cfg, std::size_t block,
     IntervalEnv env, const FlowSummaries* summaries,
     std::vector<AssignSite>* sites);
-
-// --- resource lattice (throw-leak) ------------------------------------------
-
-enum class Res { Acquired, Released, Maybe };
-
-struct ResFact {
-  Res state = Res::Acquired;
-  int acq_line = 0;
-  std::string how;  ///< the acquiring call, e.g. "wd.watch()"
-
-  /// Lattice equality is by state alone: the acquisition metadata is
-  /// carried for diagnostics and must not keep the solver iterating.
-  bool operator==(const ResFact& o) const { return state == o.state; }
-};
-
-/// resource key (receiver object or assigned handle) -> fact. Absent =
-/// unacquired.
-using ResEnv = std::map<std::string, ResFact>;
-
-[[nodiscard]] ResEnv join_res(const ResEnv& a, const ResEnv& b);
-[[nodiscard]] ResEnv res_transfer(const sema::TranslationUnit& tu,
-                                  const Cfg& cfg, std::size_t block,
-                                  ResEnv env);
-
-/// Acquire/release call pairs the resource domain tracks. Returns the
-/// matching release callee for an acquire callee, or nullptr.
-[[nodiscard]] const char* release_of(const std::string& acquire);
 
 // --- generic worklist solver -------------------------------------------------
 

@@ -573,8 +573,6 @@ FileAnalysis analyze_file(const std::string& rel_path,
   fa.tu = sema::parse(rel_path, lexer::lex(stripped));
   sema::check_span_invalidation(fa.tu, found);
   if (in_src) sema::check_arena_escape(fa.tu, found);
-  // check_dense_scan scopes itself to src/net + src/machines hot functions.
-  sema::check_dense_scan(fa.tu, found);
   return fa;
 }
 
@@ -590,7 +588,7 @@ std::vector<Diagnostic> lint_files(const std::vector<FileContent>& files) {
   tus.reserve(analyses.size());
   for (auto& fa : analyses) tus.push_back(fa.tu);
   auto taint = callgraph::determinism_taint(tus);
-  auto flowed = flow::run_flow_rules(tus);
+  auto overflow = flow::cost_overflow(tus);
 
   std::map<std::string, const FileAnalysis*> by_path;
   for (const auto& fa : analyses) by_path[fa.rel_path] = &fa;
@@ -601,7 +599,7 @@ std::vector<Diagnostic> lint_files(const std::vector<FileContent>& files) {
       if (!fa.sup.allows(d.line, d.rule)) all.push_back(std::move(d));
     }
   }
-  for (auto& cross : {&taint, &flowed}) {
+  for (auto& cross : {&taint, &overflow}) {
     for (auto& d : *cross) {
       const auto it = by_path.find(d.file);
       if (it != by_path.end() && it->second->sup.allows(d.line, d.rule)) {

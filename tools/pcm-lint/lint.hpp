@@ -12,10 +12,9 @@
 // (lexer.hpp), extracts function definitions and call sequences per TU
 // (sema.hpp), and links a repo-wide call graph across TUs (callgraph.hpp).
 // Line-local rules run on the stripped lines; the sema rules
-// (span-invalidation, arena-escape, dense-scan) run on each parsed TU;
-// determinism-taint runs on the call graph; and the CFG/dataflow rules
-// (cost-overflow, hot-path-alloc, throw-leak; flow.hpp) run on per-function
-// control-flow graphs.
+// (span-invalidation, arena-escape) run on each parsed TU;
+// determinism-taint runs on the call graph; and the one CFG/dataflow rule
+// (cost-overflow; flow.hpp) runs on per-function control-flow graphs.
 //
 // The reproduction's whole value rests on runs being bit-identical across
 // --jobs values and machines, so the linter rejects the constructs that have

@@ -11,10 +11,6 @@ namespace {
 using lexer::Tok;
 using lexer::Token;
 
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
 bool ends_with(const std::string& s, char c) {
   return !s.empty() && s.back() == c;
 }
@@ -475,52 +471,6 @@ void check_arena_escape(const TranslationUnit& tu,
                "reset(), so storage that survives the enclosing "
                "route()/reset() scope dangles; copy the data out or keep the "
                "span local"});
-    }
-  }
-}
-
-// --- dense-scan --------------------------------------------------------------
-
-void check_dense_scan(const TranslationUnit& tu, std::vector<Diagnostic>* out) {
-  if (!(starts_with(tu.rel_path, "src/net/") ||
-        starts_with(tu.rel_path, "src/machines/"))) {
-    return;
-  }
-  static const std::set<std::string> dense_bounds = {"procs", "procs_", "pes",
-                                                     "pes_"};
-  const auto& toks = tu.tokens;
-  for (const auto& fn : tu.functions) {
-    const bool hot = fn.simple_name == "route" || fn.simple_name == "exchange" ||
-                     fn.simple_name == "barrier" ||
-                     starts_with(fn.simple_name, "charge");
-    if (!hot) continue;
-    for (std::size_t i = fn.body_begin + 1; i + 1 < fn.body_end; ++i) {
-      if (toks[i].kind != Tok::Ident ||
-          (toks[i].text != "for" && toks[i].text != "while")) {
-        continue;
-      }
-      if (!(toks[i + 1].kind == Tok::Punct && toks[i + 1].text == "(")) continue;
-      // Scan the loop head to its closing paren for a dense bound.
-      int depth = 0;
-      std::string bound;
-      for (std::size_t k = i + 1; k < fn.body_end; ++k) {
-        if (toks[k].kind == Tok::Punct) {
-          if (toks[k].text == "(") ++depth;
-          if (toks[k].text == ")" && --depth == 0) break;
-        } else if (toks[k].kind == Tok::Ident &&
-                   dense_bounds.count(toks[k].text) > 0 && bound.empty()) {
-          bound = toks[k].text;
-        }
-      }
-      if (bound.empty()) continue;
-      out->push_back(
-          {tu.rel_path, toks[i].line, "dense-scan",
-           "loop bounded by '" + bound + "' in hot function '" +
-               fn.qualified_name +
-               "' — the sparse superstep contract is O(active messages), "
-               "never O(P); iterate pattern.senders()/receivers() (or "
-               "suppress for a known-dense path such as a SIMD lock-step "
-               "charge)"});
     }
   }
 }

@@ -77,10 +77,4 @@ void check_span_invalidation(const TranslationUnit& tu,
 void check_arena_escape(const TranslationUnit& tu,
                         std::vector<Diagnostic>* out);
 
-/// dense-scan: a for/while loop bounded by `procs()`/`pes()`/`procs_`/
-/// `spec.procs` inside a router/machine hot function (`route`, `exchange`,
-/// `barrier`, `charge*`) — an accidental O(P) regression of the sparse
-/// O(active-messages) superstep contract.
-void check_dense_scan(const TranslationUnit& tu, std::vector<Diagnostic>* out);
-
 }  // namespace pcm::lint::sema

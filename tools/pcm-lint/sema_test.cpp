@@ -260,22 +260,6 @@ TEST(ArenaEscape, LocalSpansAreClean) {
   EXPECT_TRUE(of_rule(lint_file("src/net/x.cpp", src), "arena-escape").empty());
 }
 
-TEST(DenseScan, OnlyHotFunctionsInRouterMachineTrees) {
-  const std::string hot =
-      "void R::route(const CommPattern& p) {\n"
-      "  for (int i = 0; i < procs(); ++i) { (void)i; }\n"
-      "}\n";
-  EXPECT_TRUE(has(lint_file("src/net/r.cpp", hot), "src/net/r.cpp", 2,
-                  "dense-scan"));
-  // The same loop in a cold function or another tree is not the hot path.
-  const std::string cold =
-      "void R::setup() {\n"
-      "  for (int i = 0; i < procs(); ++i) { (void)i; }\n"
-      "}\n";
-  EXPECT_TRUE(of_rule(lint_file("src/net/r.cpp", cold), "dense-scan").empty());
-  EXPECT_TRUE(of_rule(lint_file("src/algos/r.cpp", hot), "dense-scan").empty());
-}
-
 // --- cross-TU taint through lint_files ---------------------------------------
 
 TEST(LintFiles, TaintCrossesTranslationUnits) {
@@ -311,13 +295,6 @@ TEST(SemaFixtureTree, FlowRuleFixturesFireAndSuppress) {
   EXPECT_TRUE(has(diags, "src/net/bad_arena_escape.cpp", 32, "arena-escape"));
   EXPECT_TRUE(has(diags, "src/net/bad_arena_escape.cpp", 37, "arena-escape"));
   EXPECT_EQ(of_rule(diags, "arena-escape").size(), 5u);
-
-  // dense-scan: procs(), spec_.procs and procs_ bounds in route(); the
-  // sparse senders() loop, the suppressed charge and the cold function pass.
-  EXPECT_TRUE(has(diags, "src/net/bad_dense_scan.cpp", 17, "dense-scan"));
-  EXPECT_TRUE(has(diags, "src/net/bad_dense_scan.cpp", 21, "dense-scan"));
-  EXPECT_TRUE(has(diags, "src/net/bad_dense_scan.cpp", 24, "dense-scan"));
-  EXPECT_EQ(of_rule(diags, "dense-scan").size(), 3u);
 
   // determinism-taint: one- and two-hop chains across TUs; the seeded path
   // and the suppressed edge stay silent.

@@ -209,9 +209,9 @@ BENCHMARK(BM_MasParSuperstepLoop)->Arg(1024)->Arg(16384);
 
 /// One MP-BSP word step of bitonic sort through the runtime layer: every PE
 /// sends one key to its bit-flip partner through one reused Exchange, and
-/// every mailbox is consumed. The DeltaRouter memo hits after the first
-/// step, so the time is the runtime payload path (staging, delivery) plus
-/// the memoised route.
+/// every mailbox is consumed. Every step repeats the last one's shape, so
+/// the time is the repeated path: payload copies, the route of an unchanged
+/// pattern and a refill through the kept mailbox slots.
 void BM_RuntimeExchangeWord(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   auto m = machines::make_machine(
@@ -231,6 +231,31 @@ void BM_RuntimeExchangeWord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * procs);
 }
 BENCHMARK(BM_RuntimeExchangeWord)->Arg(1024)->Arg(65536);
+
+/// BM_RuntimeExchangeWord with partner p^8 and p^16 on alternate steps, so
+/// no step repeats the last: the fresh path (pattern staging, the
+/// DeltaRouter memo's hash and compare, the mailbox's counting sort).
+void BM_RuntimeExchangeWordAlternating(benchmark::State& state) {
+  const int procs = static_cast<int>(state.range(0));
+  auto m = machines::make_machine(
+      {.platform = machines::Platform::MasPar, .procs = procs, .seed = 9});
+  runtime::Exchange<std::uint32_t> ex(*m, runtime::TransferMode::Word);
+  std::uint32_t sum = 0;
+  int partner_bit = 8;
+  for (auto _ : state) {
+    for (int p = 0; p < procs; ++p) {
+      ex.send_value(p, p ^ partner_bit, static_cast<std::uint32_t>(p));
+    }
+    const auto& box = ex.run();
+    for (int p = 0; p < procs; ++p) {
+      for (const auto& parcel : box.at(p)) sum += parcel.data.front();
+    }
+    partner_bit ^= 8 ^ 16;
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * procs);
+}
+BENCHMARK(BM_RuntimeExchangeWordAlternating)->Arg(1024)->Arg(65536);
 
 /// CommPattern construction throughput (the per-superstep staging cost of
 /// the runtime Exchange).
@@ -286,8 +311,10 @@ void BM_MergeKeepLow(benchmark::State& state) {
   for (auto& k : b) k = static_cast<std::uint32_t>(rng.next_u64());
   algos::radix_sort(a);
   algos::radix_sort(b);
+  std::vector<std::uint32_t> out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(algos::merge_keep_low(a, b));
+    algos::merge_keep_low(a, b, out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }

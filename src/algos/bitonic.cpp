@@ -1,5 +1,6 @@
 #include "algos/bitonic.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -129,8 +130,13 @@ void bitonic_core(machines::Machine& m,
               " never received its partner run — parcel lost (data-loss "
               "fault?)");
         }
-        partner_buf[static_cast<std::size_t>(p)].assign(
-            parcels.front().data.begin(), parcels.front().data.end());
+        // Clip to the run's M keys: under a dup fault plan a duplicated
+        // word trails the body of a word-mode run.
+        const auto run = parcels.front().data;
+        const auto words =
+            run.first(std::min(run.size(), static_cast<std::size_t>(M)));
+        partner_buf[static_cast<std::size_t>(p)].assign(words.begin(),
+                                                        words.end());
       }
       if (v == BitonicVariant::Bpram) {
         m.barrier();  // The MP-BPRAM step is synchronous by definition.
@@ -138,6 +144,9 @@ void bitonic_core(machines::Machine& m,
     }
   };
 
+  // One scratch run for every merge: it takes each PE's merged keys and is
+  // swapped with that PE's run, whose buffer then serves the next PE.
+  std::vector<std::uint32_t> merged;
   for (int d = 1; d <= logp; ++d) {
     for (int j = d - 1; j >= 0; --j) {
       // Zero every partner run in place (a key lost to a fault plan reads
@@ -150,8 +159,12 @@ void bitonic_core(machines::Machine& m,
         const bool lower_side = p < partner;
         auto& mine = runs[static_cast<std::size_t>(p)];
         const auto& theirs = partner_buf[static_cast<std::size_t>(p)];
-        mine = (lower_side == ascending) ? merge_keep_low(mine, theirs)
-                                         : merge_keep_high(mine, theirs);
+        if (lower_side == ascending) {
+          merge_keep_low(mine, theirs, merged);
+        } else {
+          merge_keep_high(mine, theirs, merged);
+        }
+        mine.swap(merged);
         m.charge(p, m.compute().merge_time(M));
       }
     }

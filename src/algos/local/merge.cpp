@@ -4,28 +4,28 @@
 
 namespace pcm::algos {
 
-std::vector<std::uint32_t> merge_keep_low(std::span<const std::uint32_t> a,
-                                          std::span<const std::uint32_t> b) {
+void merge_keep_low(std::span<const std::uint32_t> a,
+                    std::span<const std::uint32_t> b,
+                    std::vector<std::uint32_t>& out) {
   const std::size_t m = a.size();
   assert(b.size() == m);
-  std::vector<std::uint32_t> out;
-  out.reserve(m);
+  out.resize(m);
   std::size_t i = 0, j = 0;
-  while (out.size() < m) {
+  for (std::size_t k = 0; k < m; ++k) {
     if (j >= b.size() || (i < a.size() && a[i] <= b[j])) {
-      out.push_back(a[i++]);
+      out[k] = a[i++];
     } else {
-      out.push_back(b[j++]);
+      out[k] = b[j++];
     }
   }
-  return out;
 }
 
-std::vector<std::uint32_t> merge_keep_high(std::span<const std::uint32_t> a,
-                                           std::span<const std::uint32_t> b) {
+void merge_keep_high(std::span<const std::uint32_t> a,
+                     std::span<const std::uint32_t> b,
+                     std::vector<std::uint32_t>& out) {
   const std::size_t m = a.size();
   assert(b.size() == m);
-  std::vector<std::uint32_t> out(m);
+  out.resize(m);
   std::size_t i = a.size(), j = b.size();
   for (std::size_t k = m; k-- > 0;) {
     if (j == 0 || (i > 0 && a[i - 1] >= b[j - 1])) {
@@ -34,7 +34,6 @@ std::vector<std::uint32_t> merge_keep_high(std::span<const std::uint32_t> a,
       out[k] = b[--j];
     }
   }
-  return out;
 }
 
 }  // namespace pcm::algos

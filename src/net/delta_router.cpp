@@ -182,6 +182,17 @@ DeltaRouter::StepCost DeltaRouter::simulate(const CommPattern& pattern) const {
 }
 
 const DeltaRouter::StepCost& DeltaRouter::step_cost(const CommPattern& pattern) {
+  // An unchanged pattern (a runtime Exchange repeating its last step) costs
+  // what it cost last time, without a walk over its messages.
+  const std::uint64_t id = pattern.identity();
+  if (id != last_identity_) {
+    last_cost_ = memo_cost(pattern);
+    last_identity_ = id;
+  }
+  return last_cost_;
+}
+
+const DeltaRouter::StepCost& DeltaRouter::memo_cost(const CommPattern& pattern) {
   const std::uint64_t key = pattern.hash();
   const auto msgs = pattern.messages();
   const auto it = memo_.find(key);
@@ -245,6 +256,7 @@ void DeltaRouter::drain(sim::Micros /*t*/) {
 void DeltaRouter::reset() {
   memo_.clear();
   memo_bytes_ = 0;
+  last_identity_ = 0;
 }
 
 }  // namespace pcm::net

@@ -79,10 +79,12 @@ class DeltaRouter final : public Router {
     sim::Micros duration = 0.0;
   };
 
-  /// Full cost of routing `pattern` in isolation. Memoised by pattern hash,
-  /// verified against the canonical message stream on every hit — a 64-bit
-  /// hash collision degrades to a recompute, never a wrong cost. The
-  /// reference is valid until the next step_cost call.
+  /// Full cost of routing `pattern` in isolation. A pattern whose
+  /// identity() is the last costed one's gets that cost back before any
+  /// hashing. Otherwise the cost is memoised by pattern hash, verified
+  /// against the canonical message stream on every hit — a 64-bit hash
+  /// collision degrades to a recompute, never a wrong cost. The reference
+  /// is valid until the next step_cost call.
   [[nodiscard]] const StepCost& step_cost(const CommPattern& pattern);
 
   /// Duration of routing `pattern` in isolation (what route() adds to the
@@ -94,6 +96,9 @@ class DeltaRouter final : public Router {
 
  private:
   [[nodiscard]] StepCost simulate(const CommPattern& pattern) const;
+
+  /// step_cost() past the identity check: the hash-keyed memo.
+  [[nodiscard]] const StepCost& memo_cost(const CommPattern& pattern);
 
   /// Cache the circuit of cluster `cl`'s head message `m`: its destination
   /// cluster and its link id at each inner stage.
@@ -116,6 +121,10 @@ class DeltaRouter final : public Router {
   static constexpr std::size_t kMemoMaxBytes = std::size_t{64} << 20;
   mutable std::unordered_map<std::uint64_t, MemoEntry> memo_;
   mutable std::size_t memo_bytes_ = 0;
+  /// identity() of the last pattern step_cost() costed (0 = none), and
+  /// that cost.
+  std::uint64_t last_identity_ = 0;
+  StepCost last_cost_;
 
   // simulate() scratch, sized on first use and reused across calls
   // (epoch-stamped, so no per-call clearing).

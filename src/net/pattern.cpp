@@ -1,9 +1,18 @@
 #include "net/pattern.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace pcm::net {
+
+namespace {
+
+/// The last identity() stamp handed out. Only uniqueness matters, so the
+/// increment needs no ordering.
+std::atomic<std::uint64_t> g_last_identity{0};
+
+}  // namespace
 
 CommPattern::CommPattern(int procs)
     : procs_(procs),
@@ -25,6 +34,7 @@ void CommPattern::add(int src, int dst, int bytes) {
   }
   total_bytes_ += bytes;
   canonical_ready_ = false;
+  identity_ = 0;
 }
 
 void CommPattern::add(const Message& m) { add(m.src, m.dst, m.bytes); }
@@ -120,6 +130,7 @@ void CommPattern::clear() {
   receivers_sorted_ = true;
   canonical_ready_ = false;
   canonical_is_stage_ = true;
+  identity_ = 0;
 }
 
 int CommPattern::max_sent() const {
@@ -192,6 +203,13 @@ std::uint64_t CommPattern::hash() const {
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.bytes)));
   }
   return h;
+}
+
+std::uint64_t CommPattern::identity() const {
+  if (identity_ == 0) {
+    identity_ = g_last_identity.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
+  return identity_;
 }
 
 namespace patterns {

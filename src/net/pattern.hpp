@@ -29,7 +29,8 @@
 // Lazy canonicalisation mutates internal caches from const accessors, so a
 // CommPattern must not be shared across threads until one thread has
 // triggered it through messages() and receivers() (the exec plane gives
-// each sweep worker its own patterns).
+// each sweep worker its own patterns). identity() takes its stamp the same
+// way, on first call: call it once before sharing, too.
 //
 // The analysis helpers implement the paper's vocabulary: an h-relation
 // (every processor sends and receives at most h messages), a 1-h relation
@@ -115,6 +116,15 @@ class CommPattern {
   /// users must verify against messages() on hit (see DeltaRouter).
   [[nodiscard]] std::uint64_t hash() const;
 
+  /// A stamp of this pattern as it stands: taken on first call from one
+  /// process-wide counter, kept until add() or clear() drops it. Equal
+  /// stamps mean the same contents without a look at them: two patterns
+  /// built apart never share one, whatever they hold, and neither does a
+  /// pattern changed in place (a copy shares its source's stamp until
+  /// either changes). Never 0. Lets a router skip re-walking a pattern it
+  /// has just costed (DeltaRouter::step_cost).
+  [[nodiscard]] std::uint64_t identity() const;
+
  private:
   /// Sort the senders and build the CSR offsets / canonical order.
   void ensure_canonical() const;
@@ -143,6 +153,7 @@ class CommPattern {
   mutable std::vector<std::size_t> cursor_;    ///< counting-sort scratch.
   mutable bool canonical_ready_ = false;
   mutable bool canonical_is_stage_ = true;
+  mutable std::uint64_t identity_ = 0;  ///< 0 = not stamped since the last change.
 };
 
 /// Convenience builders used by tests and the calibration micro-benchmarks.

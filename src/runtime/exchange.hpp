@@ -26,12 +26,23 @@
 //   - Block: each staged parcel is a single message of size(data) bytes
 //            (MP-BPRAM style bulk transfer).
 //
-// An Exchange is built once per kernel and reused for every step: run()
-// clears the pattern and keeps every buffer's capacity. send() copies the
-// payload into an Exchange-owned sim::Arena and pushes one small header per
-// parcel; run() hands the mailbox spans into that arena. The arena is
-// recycled at the first send() after run(), which is also where the
-// previous mailbox closes. In steady state a step allocates nothing.
+// An Exchange is built once per kernel and reused for every step, keeping
+// every buffer's capacity. send() copies the payload into an Exchange-owned
+// sim::Arena and keeps one small header per parcel; run() hands the mailbox
+// spans into that arena. The arena is recycled at the first send() after
+// run(), which is also where the previous mailbox closes. In steady state a
+// step allocates nothing.
+//
+// Repeated steps: run() keeps the step's parcel headers and its
+// CommPattern. A send() whose (src, dst, length) equals the last step's
+// parcel at the same position only copies its payload and overwrites that
+// parcel's tag and data pointer. The first send that differs, or a run()
+// reached with fewer sends, clears the pattern, re-stages the matching
+// prefix and goes on as a fresh step. A step that matched throughout
+// routes the untouched pattern, whose unchanged identity() lets the
+// DeltaRouter return its last cost unhashed, and puts each parcel back
+// into the mailbox slot it got at the last full refill. Bitonic sort's
+// MP-BSP merge steps, M identical bit-flip permutations each, run this way.
 //
 // Fault injection: when the machine carries a fault::Injector, the machine
 // rewrites the pattern (drops/duplicates) during exchange(); run() then
@@ -40,6 +51,8 @@
 // payload-corruption draws at delivery. The audit conservation check is
 // adjusted by the same fault records, so --audit and --fault compose. All
 // of this runs on a cold path, taken only when the machine has an injector.
+// Such a machine never takes the repeated path: its packet faults rewrite
+// staged parcels, and its router sees a rewritten copy of the pattern.
 
 namespace pcm::runtime {
 
@@ -70,18 +83,44 @@ class Exchange {
       box_.close();
       arena_.reset();
     }
-    const int qpos = pattern_.send_count(src);
-    stage_pattern(src, dst, data.size());
+    // Does this send repeat the last step's parcel at its position?
+    const bool repeat = sent_ < staged_.size() &&
+                        staged_[sent_].src == src && staged_[sent_].dst == dst &&
+                        staged_[sent_].len == data.size();
+    int qpos = 0;
+    if (!repeat) {
+      if (sent_ < staged_.size()) restage_prefix();
+      repeat_ = false;
+      qpos = pattern_.send_count(src);
+      stage_pattern(src, dst, data.size());
+    }
     const std::span<T> copy = arena_.alloc<T>(data.size());
     std::memcpy(copy.data(), data.data(), data.size_bytes());
-    staged_.push_back(Staged{src, dst, tag, qpos, copy.data(), copy.size()});
+    if (repeat) {
+      staged_[sent_].data = copy.data();
+      staged_[sent_].tag = tag;
+    } else {
+      staged_.push_back(Staged{src, dst, tag, qpos, copy.data(), copy.size()});
+    }
+    ++sent_;
   }
 
   void send_value(int src, int dst, T value, int tag = 0) {
     send(src, dst, std::span<const T>(&value, 1), tag);
   }
 
-  [[nodiscard]] std::size_t staged_messages() const { return pattern_.size(); }
+  /// Messages staged since the last run().
+  [[nodiscard]] std::size_t staged_messages() const {
+    if (sent_ == staged_.size()) return pattern_.size();
+    if (mode_ == TransferMode::Block) return sent_;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < sent_; ++i) n += staged_[i].len;
+    return n;
+  }
+
+  /// The pattern run() will route. During a step that repeats the last one
+  /// (and after run(), before the next send) it holds that whole step, until
+  /// a send differs.
   [[nodiscard]] const net::CommPattern& pattern() const { return pattern_; }
 
   /// Execute the communication step on the machine and deliver payloads.
@@ -89,6 +128,8 @@ class Exchange {
   /// run(); the Exchange is ready for the next step.
   Mailbox<T>& run() {
     box_.close();
+    if (sent_ < staged_.size()) restage_prefix();  // fewer sends than last step
+    const bool repeated = repeat_ && machine_.injector() == nullptr;
     // Under --audit: snapshot the injected per-endpoint byte totals before
     // the pattern is consumed, and require the mailbox to account for every
     // one of them afterwards (each parcel delivered exactly once, to the
@@ -114,9 +155,20 @@ class Exchange {
     // Under --race: stamp the mailbox with the delivery epoch so consuming
     // it after a reset() (stale read) is caught. Unstamped mailboxes carry
     // no machine pointer, so runs without the detector cannot dangle.
-    box_.refill(staged_, race::enabled() ? &machine_ : nullptr);
-    staged_.clear();
-    pattern_.clear();
+    const machines::Machine* stamp = race::enabled() ? &machine_ : nullptr;
+    if (repeated) {
+      box_.refill_same_shape(staged_, stamp);
+    } else {
+      box_.refill(staged_, stamp);
+    }
+    // The next step is compared against this one, unless packet faults
+    // rewrote it.
+    sent_ = 0;
+    repeat_ = machine_.injector() == nullptr;
+    if (!repeat_) {
+      staged_.clear();
+      pattern_.clear();
+    }
     if (auditing) {
       audit::EndpointBytes delivered;
       for (int p = 0; p < box_.procs(); ++p) {
@@ -227,6 +279,15 @@ class Exchange {
     return true;
   }
 
+  /// This step stopped repeating the last one after sent_ parcels: drop the
+  /// last step's rest and rebuild the pattern from the matching prefix.
+  void restage_prefix() {
+    staged_.resize(sent_);
+    pattern_.clear();
+    for (const Staged& s : staged_) stage_pattern(s.src, s.dst, s.len);
+    repeat_ = false;
+  }
+
   void stage_pattern(int src, int dst, std::size_t elems) {
     const int w = static_cast<int>(sizeof(T));
     if (mode_ == TransferMode::Word) {
@@ -240,7 +301,13 @@ class Exchange {
   TransferMode mode_;
   net::CommPattern pattern_;
   sim::Arena arena_;
+  /// This step's parcels, [0, sent_), then the last step's rest, which
+  /// the coming sends are compared against.
   std::vector<Staged> staged_;
+  std::size_t sent_ = 0;
+  /// Every send of this step so far repeated the last step's parcel at its
+  /// position, and the mailbox's slots are those of the last step.
+  bool repeat_ = false;
   Mailbox<T> box_;
   std::vector<std::size_t> drop_at_;  ///< Fault-path scratch.
   std::vector<std::size_t> dup_at_;   ///< Fault-path scratch.

@@ -18,7 +18,9 @@
 // destination, plus dense per-destination offsets that are reset sparsely
 // through the list of touched destinations. A step costs O(delivered
 // parcels), never O(P). A parcel's data is a span into its Exchange's
-// payload arena, so delivery copies no payload.
+// payload arena, so delivery copies no payload. A full refill records the
+// slot each parcel landed in; a step that repeats the last one's (src, dst)
+// sequence puts each parcel straight back into its slot, with no sort.
 //
 // Lifetime: a mailbox is valid until its Exchange's next send() or run().
 // The first send() after run() recycles the arena the spans point into and
@@ -125,14 +127,35 @@ class Mailbox {
       begin_[static_cast<std::size_t>(d)] = end;
     }
     parcels_.resize(total);
-    for (auto it = staged.rbegin(); it != staged.rend(); ++it) {
-      std::size_t& slot = begin_[static_cast<std::size_t>(it->dst)];
-      for (int c = 0; c < it->copies; ++c) {
+    slot_of_.resize(staged.size());
+    for (std::size_t i = staged.size(); i-- > 0;) {
+      const Staged& s = staged[i];
+      std::size_t& slot = begin_[static_cast<std::size_t>(s.dst)];
+      for (int c = 0; c < s.copies; ++c) {
         parcels_[--slot] = Parcel<T>{
-            it->src, it->tag, std::span<const T>(it->data, it->len),
-            it->corrupted};
+            s.src, s.tag, std::span<const T>(s.data, s.len), s.corrupted};
       }
+      slot_of_[i] = slot;
     }
+    reopen(stamp);
+  }
+
+  /// Refill from staged headers whose (src, dst) sequence is the one the
+  /// last refill() sorted, one copy each: every parcel goes back into the
+  /// slot it got then, and the destination grouping stands as it is.
+  template <typename Staged>
+  void refill_same_shape(const std::vector<Staged>& staged,
+                         const machines::Machine* stamp) {
+    PCM_CHECK(staged.size() == slot_of_.size());
+    for (std::size_t i = 0; i < staged.size(); ++i) {
+      const Staged& s = staged[i];
+      parcels_[slot_of_[i]] = Parcel<T>{
+          s.src, s.tag, std::span<const T>(s.data, s.len), s.corrupted};
+    }
+    reopen(stamp);
+  }
+
+  void reopen(const machines::Machine* stamp) {
     machine_ = stamp;
     if (stamp != nullptr) {
       trial_ = stamp->trial();
@@ -161,6 +184,9 @@ class Mailbox {
   std::vector<std::size_t> begin_;   ///< Dense; valid where count_ > 0.
   std::vector<std::size_t> count_;   ///< Dense; zeroed through touched_.
   std::vector<int> touched_;         ///< Destinations with parcels.
+  /// Slot of each staged parcel's last copy at the last refill(), by
+  /// staging index.
+  std::vector<std::size_t> slot_of_;
   bool open_ = false;
   const machines::Machine* machine_ = nullptr;  ///< Race stamp; may be null.
   long trial_ = -1;

@@ -16,9 +16,7 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-/// Uniform double in [0, 1) from one 64-bit word.
+/// Uniform double in [0, 1) from one 64-bit word, as Rng::next_double().
 double unit_double(std::uint64_t x) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
@@ -28,18 +26,6 @@ double unit_double(std::uint64_t x) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 void Rng::discard(std::uint64_t words) {
@@ -68,8 +54,6 @@ std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
   const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
   return lo + static_cast<std::int64_t>(next_below(span));
 }
-
-double Rng::next_double() { return unit_double(next_u64()); }
 
 double Rng::next_gaussian(double mean, double stddev) {
   // Two words every call, so the stream stays aligned.

@@ -18,8 +18,19 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  /// Uniform 64-bit value. Inline, like next_double(): out of line, a
+  /// loop of draws keeps the generator state in memory.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Advance the stream by `words` next_u64() calls, discarding them.
   void discard(std::uint64_t words);
@@ -31,8 +42,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t next_in(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): the top 53 bits of next_u64().
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Normally distributed value (Box-Muller, no caching — deterministic):
   /// box_muller() of the next two next_u64() words.
@@ -67,6 +80,10 @@ class Rng {
   [[nodiscard]] Rng split(std::uint64_t key) const;
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -100,13 +100,14 @@ constexpr int kCountedSteps = 10;
 constexpr std::size_t kElems = 64;
 
 /// Allocations made by `kCountedSteps` steps after `kWarmupSteps` warm-up
-/// steps on `platform` at its Table 1 size: every PE sends kElems doubles to
-/// p + 1 and to p + 2 on alternate steps through one reused Exchange, with
-/// a barrier after each step. Audit allocates by design and obs's span
-/// recorder grows with the timeline, so both are off; race stays as the
-/// environment sets it.
+/// steps on `platform` at its Table 1 size: every PE sends kElems doubles
+/// through one reused Exchange, with a barrier after each step. With
+/// `shapes` = 2 it sends to p + 1 and to p + 2 on alternate steps, so no
+/// step repeats the last; with 1 every step goes to p + 1. Audit allocates
+/// by design and obs's span recorder grows with the timeline, so both are
+/// off; race stays as the environment sets it.
 long steady_state_allocations(machines::Platform platform,
-                              runtime::TransferMode mode) {
+                              runtime::TransferMode mode, int shapes = 2) {
   const test::FlagGuard audit_off(&audit::set_enabled, &audit::enabled,
                                   false);
   const test::FlagGuard obs_off(&obs::set_enabled, &obs::enabled, false);
@@ -119,7 +120,7 @@ long steady_state_allocations(machines::Platform platform,
   for (int step = 0; step < kWarmupSteps + kCountedSteps; ++step) {
     if (step == kWarmupSteps) before = g_news.load();
     for (int p = 0; p < procs; ++p) {
-      ex.send(p, (p + 1 + step % 2) % procs, payload, step);
+      ex.send(p, (p + 1 + step % shapes) % procs, payload, step);
     }
     const auto& box = ex.run();
     for (int p = 0; p < procs; ++p) {
@@ -149,6 +150,16 @@ TEST(SteadyStateAllocations, BlockModeStepsAllocateNothing) {
     EXPECT_EQ(steady_state_allocations(platform, runtime::TransferMode::Block),
               0)
         << machines::to_string(platform);
+  }
+}
+
+TEST(SteadyStateAllocations, RepeatedStepsAllocateNothing) {
+  for (const auto platform : kPlatforms) {
+    for (const auto mode :
+         {runtime::TransferMode::Word, runtime::TransferMode::Block}) {
+      EXPECT_EQ(steady_state_allocations(platform, mode, /*shapes=*/1), 0)
+          << machines::to_string(platform);
+    }
   }
 }
 

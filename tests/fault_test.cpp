@@ -167,6 +167,57 @@ TEST(FaultInjection, WordSyncBitonicClipsDuplicatedWordsToTheirWindow) {
   EXPECT_EQ(r.keys, want);
 }
 
+TEST(FaultInjection, BspWordBitonicClipsDuplicatedWords) {
+  // The unsynchronised word variant sends each partner run as one word
+  // parcel; under a dup plan a duplicated word trails its M keys. The
+  // partner run must be clipped to M keys, or the merge keeps the extra.
+  const ScopedPlan plan("dup:rate=0.05:seed=3");
+  auto m = machines::make_machine(
+      {.platform = machines::Platform::GCel, .procs = 16, .seed = 2026});
+  const auto keys = test::random_keys(16 * 256, 2);
+  const auto r = algos::run_bitonic(*m, keys, algos::BitonicVariant::Bsp);
+  EXPECT_GT(m->injector()->counters().duplicated, 0);
+  auto want = keys;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(r.keys, want);
+}
+
+TEST(FaultInjection, RepeatedStepsDeliverWhatAFreshExchangeDelivers) {
+  // A machine with an injector never takes the repeated path: a reused
+  // Exchange sending the same shape every step must deliver, step by step,
+  // what a fresh Exchange delivers on a twin machine.
+  const ScopedPlan plan("dup:rate=0.2:seed=3");
+  for (const auto platform : kPlatforms) {
+    for (const auto mode :
+         {runtime::TransferMode::Word, runtime::TransferMode::Block}) {
+      SCOPED_TRACE(std::string(machines::to_string(platform)) +
+                   (mode == runtime::TransferMode::Word ? " word" : " block"));
+      auto reused_m = small_machine(platform);
+      auto fresh_m = small_machine(platform);
+      runtime::Exchange<std::uint32_t> reused(*reused_m, mode);
+      const auto stage = [](runtime::Exchange<std::uint32_t>& ex, int step) {
+        const int P = ex.machine().procs();
+        for (int p = 0; p < P; ++p) {
+          const auto v = static_cast<std::uint32_t>(100 * step + p);
+          ex.send(p, (p + 1) % P, std::vector<std::uint32_t>{v, v + 1}, step);
+        }
+      };
+      for (int step = 0; step < 4; ++step) {
+        std::string want;
+        {
+          runtime::Exchange<std::uint32_t> fresh(*fresh_m, mode);
+          stage(fresh, step);
+          want = test::transcript(fresh.run());
+        }
+        stage(reused, step);
+        EXPECT_EQ(test::transcript(reused.run()), want) << "step " << step;
+        EXPECT_EQ(reused_m->now(), fresh_m->now()) << "step " << step;
+      }
+      EXPECT_GT(reused_m->injector()->counters().duplicated, 0);
+    }
+  }
+}
+
 TEST(FaultInjection, WordMatmulClipsDuplicatedWordsToTheirPiece) {
   // Under a dup plan a word parcel of BSP matmul grows past its piece (the
   // duplicates trail the body). Each parcel must be clipped to its piece

@@ -58,13 +58,17 @@ TEST(RadixSort, ChargedCostMatchesFormula) {
 TEST(Merge, KeepLowTakesSmallest) {
   std::vector<std::uint32_t> a{1, 4, 9};
   std::vector<std::uint32_t> b{2, 3, 10};
-  EXPECT_EQ(merge_keep_low(a, b), (std::vector<std::uint32_t>{1, 2, 3}));
+  std::vector<std::uint32_t> out;
+  merge_keep_low(a, b, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(Merge, KeepHighTakesLargestAscending) {
   std::vector<std::uint32_t> a{1, 4, 9};
   std::vector<std::uint32_t> b{2, 3, 10};
-  EXPECT_EQ(merge_keep_high(a, b), (std::vector<std::uint32_t>{4, 9, 10}));
+  std::vector<std::uint32_t> out;
+  merge_keep_high(a, b, out);
+  EXPECT_EQ(out, (std::vector<std::uint32_t>{4, 9, 10}));
 }
 
 TEST(Merge, LowAndHighPartitionTheMultiset) {
@@ -75,8 +79,9 @@ TEST(Merge, LowAndHighPartitionTheMultiset) {
     for (auto& v : b) v = static_cast<std::uint32_t>(rng.next_below(100));
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
-    auto low = merge_keep_low(a, b);
-    auto high = merge_keep_high(a, b);
+    std::vector<std::uint32_t> low, high;
+    merge_keep_low(a, b, low);
+    merge_keep_high(a, b, high);
     EXPECT_TRUE(ref::is_sorted_keys(low));
     EXPECT_TRUE(ref::is_sorted_keys(high));
     EXPECT_LE(low.back(), high.front());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string_view>
 
 #include "calibrate/local_perm.hpp"
@@ -100,6 +101,34 @@ TEST_F(DeltaRouterTest, StepDurationIsMemoisedAndDeterministic) {
   const double a = router_.step_duration(pat);
   const double b = router_.step_duration(pat);
   EXPECT_EQ(a, b);
+}
+
+TEST_F(DeltaRouterTest, PatternRefilledInPlaceIsCostedAfresh) {
+  // The same object, cleared and refilled with another bit-flip of as many
+  // messages: its cost must be the new contents', not the last one's.
+  CommPattern pat(1024);
+  for (int p = 0; p < 1024; ++p) pat.add(p, p ^ 1, 4);
+  sim::ClockSet clocks(1024);
+  router_.route(pat, clocks, rng_);
+  const double first = clocks.max();
+  pat.clear();
+  for (int p = 0; p < 1024; ++p) pat.add(p, p ^ 64, 8);
+  const double want = DeltaRouter(1024).step_duration(pat);
+  ASSERT_NE(want, first);  // the two patterns cost differently
+  router_.route(pat, clocks, rng_);
+  EXPECT_EQ(clocks.max(), first + want);
+  EXPECT_EQ(router_.step_duration(pat), want);
+}
+
+TEST_F(DeltaRouterTest, NewPatternAtAReusedAddressIsCostedAfresh) {
+  std::optional<CommPattern> slot;
+  slot.emplace(patterns::bit_flip(1024, 2, 1, 4));
+  const double flip = router_.step_duration(*slot);
+  slot.reset();
+  slot.emplace(patterns::from_permutation(rng_.permutation(1024), 4));
+  const double want = DeltaRouter(1024).step_duration(*slot);
+  ASSERT_NE(want, flip);
+  EXPECT_EQ(router_.step_duration(*slot), want);
 }
 
 TEST_F(DeltaRouterTest, RouteIsSimdSynchronous) {

@@ -143,6 +143,32 @@ TEST(CommPattern, HashIsContentSensitive) {
   EXPECT_EQ(a.hash(), c.hash());
 }
 
+TEST(CommPattern, IdentityHoldsUntilTheContentsChange) {
+  CommPattern p(4);
+  p.add(0, 1, 4);
+  const auto first = p.identity();
+  EXPECT_NE(first, 0u);
+  EXPECT_EQ(p.identity(), first);
+  (void)p.messages();  // canonicalising is not a change
+  EXPECT_EQ(p.identity(), first);
+  p.add(1, 2, 4);
+  const auto added = p.identity();
+  EXPECT_NE(added, first);
+  EXPECT_EQ(p.identity(), added);
+  p.clear();
+  const auto cleared = p.identity();
+  EXPECT_NE(cleared, added);
+  EXPECT_NE(cleared, first);
+}
+
+TEST(CommPattern, IdentityDiffersBetweenPatternsWithEqualContents) {
+  CommPattern a(4), b(4);
+  a.add(0, 1, 4);
+  b.add(0, 1, 4);
+  ASSERT_EQ(a.hash(), b.hash());
+  EXPECT_NE(a.identity(), b.identity());
+}
+
 TEST(CommPattern, ClearResets) {
   CommPattern p(4);
   p.add(0, 1, 4);

@@ -176,6 +176,29 @@ TEST(RaceViolation, StaleMailboxReadAfterReset) {
   }
 }
 
+TEST(RaceViolation, StaleMailboxReadAfterResetOnARepeatedStep) {
+  // A step that repeats the last one refills the mailbox through its kept
+  // slots; it must stamp it all the same.
+  RaceOn on;
+  auto m = test::small_cm5();
+  runtime::Exchange<int> ex(*m, runtime::TransferMode::Word);
+  ex.send_value(0, 1, 41);
+  (void)ex.run();
+  const auto shape = ex.pattern().identity();
+  ex.send_value(0, 1, 42);
+  auto& box = ex.run();
+  ASSERT_EQ(ex.pattern().identity(), shape);  // the repeated path was taken
+  EXPECT_EQ(box.at(1).front().data.front(), 42);
+  m->reset();
+  try {
+    (void)box.at(1);
+    FAIL() << "expected RaceError";
+  } catch (const race::RaceError& e) {
+    EXPECT_EQ(e.violation(), "stale-mailbox-read");
+    EXPECT_EQ(e.pe(), 1);
+  }
+}
+
 TEST(RaceViolation, BypassWriteByNonOwner) {
   RaceOn on;
   auto m = test::small_cm5();  // P = 16

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "runtime/dist.hpp"
 #include "runtime/exchange.hpp"
@@ -241,6 +243,123 @@ TEST(Exchange, SendValueHelper) {
   auto& box = ex.run();
   ASSERT_EQ(box.at(4).size(), 1u);
   EXPECT_FLOAT_EQ(box.at(4).front().data.front(), 2.5f);
+}
+
+// ---- repeated steps ----------------------------------------------------------
+
+/// One parcel of a scripted step.
+struct ScriptedSend {
+  int src;
+  int dst;
+  int len;
+};
+
+/// The steps a reused Exchange is driven through: a shape repeated three
+/// times, a step that diverges at parcel k, one with fewer parcels, one
+/// with more, one whose parcel k changes length only, an empty step, and
+/// the shape again after it, twice. `repeats[i]` says whether step i
+/// repeats step i - 1's shape (src, dst and length of every parcel).
+struct Script {
+  std::vector<std::vector<ScriptedSend>> steps;
+  std::vector<bool> repeats;
+};
+
+Script repeat_script(int procs) {
+  std::vector<ScriptedSend> shape;
+  for (int p = 0; p < procs; ++p) shape.push_back({p, (p + 3) % procs, 2});
+  for (int p = 0; p < procs; p += 4) shape.push_back({p, (p + 1) % procs, 1});
+  const std::size_t k = shape.size() / 2;
+  auto diverged = shape;
+  diverged[k].dst = (diverged[k].dst + 1) % procs;
+  auto fewer = shape;
+  fewer.resize(shape.size() - 3);
+  auto more = shape;
+  more.push_back({procs - 1, 0, 3});
+  auto longer = shape;
+  longer[k].len = 3;
+  Script s;
+  s.steps = {shape,  shape, shape, diverged, shape, fewer, shape,
+             more,   shape, longer, {},      shape, shape};
+  s.repeats = {false, true, true, false, false, false, false,
+               false, false, false, false, false, true};
+  return s;
+}
+
+/// Drive a reused Exchange through repeat_script() on one machine and a
+/// fresh Exchange per step on a twin built from the same spec: every step
+/// must deliver the same transcript and leave the same clocks. Payloads and
+/// tags change every step, so a stale slot would show.
+void expect_reused_matches_fresh(const machines::MachineSpec& spec,
+                                 TransferMode mode) {
+  SCOPED_TRACE(machines::to_string(spec) +
+               (mode == TransferMode::Word ? " word" : " block"));
+  auto reused_m = machines::make_machine(spec);
+  auto fresh_m = machines::make_machine(spec);
+  const Script script = repeat_script(reused_m->procs());
+  Exchange<int> reused(*reused_m, mode);
+  const auto stage = [](Exchange<int>& ex, const std::vector<ScriptedSend>& sends,
+                        int step) {
+    for (std::size_t i = 0; i < sends.size(); ++i) {
+      const auto& s = sends[i];
+      const std::vector<int> data(static_cast<std::size_t>(s.len),
+                                  1000 * step + static_cast<int>(i));
+      ex.send(s.src, s.dst, data, step * 7 + s.src);
+    }
+  };
+  for (std::size_t step = 0; step < script.steps.size(); ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const auto& sends = script.steps[step];
+    const int n = static_cast<int>(step);
+    std::string want;
+    {
+      Exchange<int> fresh(*fresh_m, mode);
+      stage(fresh, sends, n);
+      want = test::transcript(fresh.run());
+    }
+    const std::uint64_t last_identity = reused.pattern().identity();
+    stage(reused, sends, n);
+    EXPECT_EQ(test::transcript(reused.run()), want);
+    // An unchanged pattern is the repeated path's mark.
+    EXPECT_EQ(reused.pattern().identity() == last_identity,
+              static_cast<bool>(script.repeats[step]));
+    for (int p = 0; p < reused_m->procs(); ++p) {
+      ASSERT_EQ(reused_m->now(p), fresh_m->now(p)) << "PE " << p;
+    }
+    reused_m->barrier();
+    fresh_m->barrier();
+  }
+}
+
+TEST(ExchangeRepeat, ReusedExchangeDeliversWhatAFreshOneDoes) {
+  for (const auto& spec : {machines::MachineSpec{.platform = machines::Platform::MasPar,
+                                                 .procs = 256, .seed = 11},
+                           machines::MachineSpec{.platform = machines::Platform::GCel,
+                                                 .procs = 16, .seed = 12},
+                           machines::MachineSpec{.platform = machines::Platform::CM5,
+                                                 .procs = 16, .seed = 13}}) {
+    for (const auto mode : {TransferMode::Word, TransferMode::Block}) {
+      expect_reused_matches_fresh(spec, mode);
+    }
+  }
+}
+
+TEST(ExchangeRepeat, StagedMessagesCountsOnlyThisStep) {
+  auto m = test::small_cm5();
+  Exchange<int> ex(*m, TransferMode::Word);
+  ex.send(0, 1, std::vector<int>{1, 2});
+  ex.send(2, 3, std::vector<int>{3, 4, 5});
+  (void)ex.run();
+  EXPECT_EQ(ex.staged_messages(), 0u);
+  ex.send(0, 1, std::vector<int>{6, 7});  // repeats the first parcel
+  EXPECT_EQ(ex.staged_messages(), 2u);
+  EXPECT_EQ(ex.pattern().size(), 5u);  // still the whole last step
+  ex.send(2, 3, std::vector<int>{8, 9, 10});
+  EXPECT_EQ(ex.staged_messages(), 5u);
+  (void)ex.run();
+  ex.send(0, 1, std::vector<int>{6, 7});
+  ex.send(4, 5, std::vector<int>{1});  // differs: the prefix is re-staged
+  EXPECT_EQ(ex.staged_messages(), 3u);
+  EXPECT_EQ(ex.pattern().size(), 3u);
 }
 
 TEST(Spmd, ChargeUniformAndStopwatch) {

@@ -130,13 +130,14 @@ void bitonic_core(machines::Machine& m,
               " never received its partner run — parcel lost (data-loss "
               "fault?)");
         }
-        // Clip to the run's M keys: under a dup fault plan a duplicated
-        // word trails the body of a word-mode run.
+        // Copy at most the run's M keys over the zeroed partner run: under
+        // a dup fault plan a duplicated word trails the body of a word-mode
+        // run, and under a drop plan the run arrives short.
         const auto run = parcels.front().data;
         const auto words =
             run.first(std::min(run.size(), static_cast<std::size_t>(M)));
-        partner_buf[static_cast<std::size_t>(p)].assign(words.begin(),
-                                                        words.end());
+        std::copy(words.begin(), words.end(),
+                  partner_buf[static_cast<std::size_t>(p)].begin());
       }
       if (v == BitonicVariant::Bpram) {
         m.barrier();  // The MP-BPRAM step is synchronous by definition.

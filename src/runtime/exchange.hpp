@@ -37,12 +37,14 @@
 // CommPattern. A send() whose (src, dst, length) equals the last step's
 // parcel at the same position only copies its payload and overwrites that
 // parcel's tag and data pointer. The first send that differs, or a run()
-// reached with fewer sends, clears the pattern, re-stages the matching
-// prefix and goes on as a fresh step. A step that matched throughout
+// reached with fewer sends, re-stages the matching prefix (rebuilding the
+// pattern from it) and goes on as a fresh step, whose sends take exactly
+// the path they take with nothing kept. A step that matched throughout
 // routes the untouched pattern, whose unchanged identity() lets the
-// DeltaRouter return its last cost unhashed, and puts each parcel back
-// into the mailbox slot it got at the last full refill. Bitonic sort's
-// MP-BSP merge steps, M identical bit-flip permutations each, run this way.
+// DeltaRouter return its last cost unhashed. Its mailbox refill keeps the
+// slot each parcel lands in, and the repeats after it put each parcel
+// straight back into its slot. Bitonic sort's MP-BSP merge steps, M
+// identical bit-flip permutations each, run this way.
 //
 // Fault injection: when the machine carries a fault::Injector, the machine
 // rewrites the pattern (drops/duplicates) during exchange(); run() then
@@ -74,44 +76,29 @@ class Exchange {
   [[nodiscard]] TransferMode mode() const { return mode_; }
 
   /// Stage a parcel (a copy of `data`). Sends are issued per sender in
-  /// staging order.
-  void send(int src, int dst, std::span<const T> data, int tag = 0) {
+  /// staging order. Always inlined, like send_value(): the body sits at the
+  /// compiler's inlining size limit, so without the attribute an unrelated
+  /// edit can move a kernel's send loop from an inlined body (its state in
+  /// registers) to a call per parcel.
+  [[gnu::always_inline]] void send(int src, int dst, std::span<const T> data,
+                                   int tag = 0) {
     if (data.empty()) return;
-    if (box_.is_open()) {
-      // First send after run(): the previous mailbox's spans point into
-      // the arena about to be recycled.
-      box_.close();
-      arena_.reset();
-    }
-    // Does this send repeat the last step's parcel at its position?
-    const bool repeat = sent_ < staged_.size() &&
-                        staged_[sent_].src == src && staged_[sent_].dst == dst &&
-                        staged_[sent_].len == data.size();
-    int qpos = 0;
-    if (!repeat) {
-      if (sent_ < staged_.size()) restage_prefix();
-      repeat_ = false;
-      qpos = pattern_.send_count(src);
-      stage_pattern(src, dst, data.size());
-    }
+    if ((repeating_ || box_.is_open()) && resend(src, dst, data, tag)) return;
+    const int qpos = pattern_.send_count(src);
+    stage_pattern(src, dst, data.size());
     const std::span<T> copy = arena_.alloc<T>(data.size());
     std::memcpy(copy.data(), data.data(), data.size_bytes());
-    if (repeat) {
-      staged_[sent_].data = copy.data();
-      staged_[sent_].tag = tag;
-    } else {
-      staged_.push_back(Staged{src, dst, tag, qpos, copy.data(), copy.size()});
-    }
-    ++sent_;
+    staged_.push_back(Staged{src, dst, tag, qpos, copy.data(), copy.size()});
   }
 
-  void send_value(int src, int dst, T value, int tag = 0) {
+  [[gnu::always_inline]] void send_value(int src, int dst, T value,
+                                         int tag = 0) {
     send(src, dst, std::span<const T>(&value, 1), tag);
   }
 
   /// Messages staged since the last run().
   [[nodiscard]] std::size_t staged_messages() const {
-    if (sent_ == staged_.size()) return pattern_.size();
+    if (!repeating_ || sent_ == staged_.size()) return pattern_.size();
     if (mode_ == TransferMode::Block) return sent_;
     std::size_t n = 0;
     for (std::size_t i = 0; i < sent_; ++i) n += staged_[i].len;
@@ -128,8 +115,8 @@ class Exchange {
   /// run(); the Exchange is ready for the next step.
   Mailbox<T>& run() {
     box_.close();
-    if (sent_ < staged_.size()) restage_prefix();  // fewer sends than last step
-    const bool repeated = repeat_ && machine_.injector() == nullptr;
+    if (repeating_ && sent_ < staged_.size()) diverge();  // fewer sends
+    const bool repeated = repeating_ && machine_.injector() == nullptr;
     // Under --audit: snapshot the injected per-endpoint byte totals before
     // the pattern is consumed, and require the mailbox to account for every
     // one of them afterwards (each parcel delivered exactly once, to the
@@ -155,17 +142,21 @@ class Exchange {
     // Under --race: stamp the mailbox with the delivery epoch so consuming
     // it after a reset() (stale read) is caught. Unstamped mailboxes carry
     // no machine pointer, so runs without the detector cannot dangle.
+    // A repeated step refills through the slots its first repeat kept.
     const machines::Machine* stamp = race::enabled() ? &machine_ : nullptr;
-    if (repeated) {
+    if (!repeated) {
+      box_.refill(staged_, stamp);
+    } else if (slots_kept_) {
       box_.refill_same_shape(staged_, stamp);
     } else {
-      box_.refill(staged_, stamp);
+      box_.refill(staged_, stamp, /*keep_slots=*/true);
     }
+    slots_kept_ = repeated;
     // The next step is compared against this one, unless packet faults
     // rewrote it.
     sent_ = 0;
-    repeat_ = machine_.injector() == nullptr;
-    if (!repeat_) {
+    repeating_ = machine_.injector() == nullptr;
+    if (!repeating_) {
       staged_.clear();
       pattern_.clear();
     }
@@ -279,13 +270,43 @@ class Exchange {
     return true;
   }
 
-  /// This step stopped repeating the last one after sent_ parcels: drop the
-  /// last step's rest and rebuild the pattern from the matching prefix.
-  void restage_prefix() {
+  /// The part of send() a fresh step's sends skip after their first: it
+  /// recycles the arena on the first send after run(), and while this step
+  /// repeats the last one, a send equal to the last step's parcel at its
+  /// position only copies its payload (true). The first that differs ends
+  /// the repeat, and send() stages it (false).
+  bool resend(int src, int dst, std::span<const T> data, int tag) {
+    if (box_.is_open()) {
+      // First send after run(): the previous mailbox's spans point into
+      // the arena about to be recycled.
+      box_.close();
+      arena_.reset();
+    }
+    if (!repeating_) return false;
+    if (sent_ < staged_.size()) {
+      Staged& s = staged_[sent_];
+      if (s.src == src && s.dst == dst && s.len == data.size()) {
+        const std::span<T> copy = arena_.alloc<T>(data.size());
+        std::memcpy(copy.data(), data.data(), data.size_bytes());
+        s.data = copy.data();
+        s.tag = tag;
+        ++sent_;
+        return true;
+      }
+    }
+    diverge();
+    return false;
+  }
+
+  /// This step stopped repeating the last one after sent_ parcels: it
+  /// keeps the matching prefix, and the pattern is rebuilt from it unless
+  /// it already holds exactly that.
+  void diverge() {
+    repeating_ = false;
+    if (sent_ == staged_.size()) return;
     staged_.resize(sent_);
     pattern_.clear();
     for (const Staged& s : staged_) stage_pattern(s.src, s.dst, s.len);
-    repeat_ = false;
   }
 
   void stage_pattern(int src, int dst, std::size_t elems) {
@@ -301,13 +322,16 @@ class Exchange {
   TransferMode mode_;
   net::CommPattern pattern_;
   sim::Arena arena_;
-  /// This step's parcels, [0, sent_), then the last step's rest, which
-  /// the coming sends are compared against.
+  /// This step's parcels. While it repeats the last step, the first sent_
+  /// are this step's and the rest the last step's, which the coming sends
+  /// are compared against.
   std::vector<Staged> staged_;
   std::size_t sent_ = 0;
-  /// Every send of this step so far repeated the last step's parcel at its
-  /// position, and the mailbox's slots are those of the last step.
-  bool repeat_ = false;
+  /// Every send of this step so far equalled the last step's parcel at its
+  /// position, and pattern_ holds the last step.
+  bool repeating_ = false;
+  /// The mailbox kept its slots for the shape in staged_.
+  bool slots_kept_ = false;
   Mailbox<T> box_;
   std::vector<std::size_t> drop_at_;  ///< Fault-path scratch.
   std::vector<std::size_t> dup_at_;   ///< Fault-path scratch.

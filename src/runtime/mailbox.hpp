@@ -18,9 +18,9 @@
 // destination, plus dense per-destination offsets that are reset sparsely
 // through the list of touched destinations. A step costs O(delivered
 // parcels), never O(P). A parcel's data is a span into its Exchange's
-// payload arena, so delivery copies no payload. A full refill records the
-// slot each parcel landed in; a step that repeats the last one's (src, dst)
-// sequence puts each parcel straight back into its slot, with no sort.
+// payload arena, so delivery copies no payload. A step that repeats the
+// last one's (src, dst) sequence puts each parcel straight back into the
+// slot it got at the first repeat, with no sort.
 //
 // Lifetime: a mailbox is valid until its Exchange's next send() or run().
 // The first send() after run() recycles the arena the spans point into and
@@ -105,10 +105,11 @@ class Mailbox {
   /// Refill from an Exchange's staged headers (fields src, dst, tag, data,
   /// len, copies, corrupted): a counting sort by destination that keeps
   /// each destination's parcels in staging order. `stamp` is the machine
-  /// to race-stamp against, or null.
+  /// to race-stamp against, or null. With `keep_slots` it also keeps the
+  /// slot each parcel lands in, for refill_same_shape().
   template <typename Staged>
   void refill(const std::vector<Staged>& staged,
-              const machines::Machine* stamp) {
+              const machines::Machine* stamp, bool keep_slots = false) {
     for (const int d : touched_) count_[static_cast<std::size_t>(d)] = 0;
     touched_.clear();
     std::size_t total = 0;
@@ -127,7 +128,7 @@ class Mailbox {
       begin_[static_cast<std::size_t>(d)] = end;
     }
     parcels_.resize(total);
-    slot_of_.resize(staged.size());
+    if (keep_slots) slot_of_.resize(staged.size());
     for (std::size_t i = staged.size(); i-- > 0;) {
       const Staged& s = staged[i];
       std::size_t& slot = begin_[static_cast<std::size_t>(s.dst)];
@@ -135,14 +136,15 @@ class Mailbox {
         parcels_[--slot] = Parcel<T>{
             s.src, s.tag, std::span<const T>(s.data, s.len), s.corrupted};
       }
-      slot_of_[i] = slot;
+      if (keep_slots) slot_of_[i] = slot;
     }
     reopen(stamp);
   }
 
-  /// Refill from staged headers whose (src, dst) sequence is the one the
-  /// last refill() sorted, one copy each: every parcel goes back into the
-  /// slot it got then, and the destination grouping stands as it is.
+  /// Refill from staged headers, one copy each, whose (src, dst) sequence
+  /// is the one the last refill(..., keep_slots = true) sorted: every
+  /// parcel goes back into the slot it got then, and the destination
+  /// grouping stands as it is.
   template <typename Staged>
   void refill_same_shape(const std::vector<Staged>& staged,
                          const machines::Machine* stamp) {
@@ -184,7 +186,7 @@ class Mailbox {
   std::vector<std::size_t> begin_;   ///< Dense; valid where count_ > 0.
   std::vector<std::size_t> count_;   ///< Dense; zeroed through touched_.
   std::vector<int> touched_;         ///< Destinations with parcels.
-  /// Slot of each staged parcel's last copy at the last refill(), by
+  /// Slot of each staged parcel at the last refill() that kept them, by
   /// staging index.
   std::vector<std::size_t> slot_of_;
   bool open_ = false;

@@ -16,11 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-/// Uniform double in [0, 1) from one 64-bit word, as Rng::next_double().
-double unit_double(std::uint64_t x) {
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -64,8 +59,8 @@ double Rng::next_gaussian(double mean, double stddev) {
 
 double box_muller(std::uint64_t first, std::uint64_t second, double mean,
                   double stddev) {
-  double u1 = unit_double(first);
-  const double u2 = unit_double(second);
+  double u1 = Rng::unit_double(first);
+  const double u2 = Rng::unit_double(second);
   if (u1 <= 0.0) u1 = 0x1.0p-53;
   const double r = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);

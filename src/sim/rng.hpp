@@ -43,9 +43,7 @@ class Rng {
   std::int64_t next_in(std::int64_t lo, std::int64_t hi);
 
   /// Uniform double in [0, 1): the top 53 bits of next_u64().
-  double next_double() {
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-  }
+  double next_double() { return unit_double(next_u64()); }
 
   /// Normally distributed value (Box-Muller, no caching — deterministic):
   /// box_muller() of the next two next_u64() words.
@@ -80,8 +78,16 @@ class Rng {
   [[nodiscard]] Rng split(std::uint64_t key) const;
 
  private:
+  friend double box_muller(std::uint64_t first, std::uint64_t second,
+                           double mean, double stddev);
+
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+
+  /// Uniform double in [0, 1) from one 64-bit word: its top 53 bits.
+  static double unit_double(std::uint64_t x) {
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
   }
 
   std::uint64_t s_[4];

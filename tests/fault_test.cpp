@@ -182,6 +182,19 @@ TEST(FaultInjection, BspWordBitonicClipsDuplicatedWords) {
   EXPECT_EQ(r.keys, want);
 }
 
+TEST(FaultInjection, BspWordBitonicKeepsRunsOfMKeysUnderDrops) {
+  // Under a drop plan a word-mode partner run arrives short. It fills the
+  // front of the zeroed M-key partner run, as in the other word variants:
+  // the merges take runs of equal length (a Debug build asserts it).
+  const ScopedPlan plan("drop:rate=0.05:seed=3");
+  auto m = machines::make_machine(
+      {.platform = machines::Platform::GCel, .procs = 16, .seed = 2026});
+  const auto keys = test::random_keys(16 * 256, 2);
+  const auto r = algos::run_bitonic(*m, keys, algos::BitonicVariant::Bsp);
+  EXPECT_GT(m->injector()->counters().dropped, 0);
+  EXPECT_EQ(r.keys.size(), keys.size());
+}
+
 TEST(FaultInjection, RepeatedStepsDeliverWhatAFreshExchangeDelivers) {
   // A machine with an injector never takes the repeated path: a reused
   // Exchange sending the same shape every step must deliver, step by step,

@@ -217,7 +217,7 @@ BENCHMARK(BM_MasParSuperstepLoop)->Arg(1024)->Arg(16384);
 /// sends one key to its bit-flip partner through one reused Exchange, and
 /// every mailbox is consumed. Every step repeats the last one's shape, so
 /// the time is the repeated path: payload copies, the route of an unchanged
-/// pattern and a refill through the kept mailbox slots.
+/// pattern and the mailbox refill.
 void BM_RuntimeExchangeWord(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   auto m = machines::make_machine(

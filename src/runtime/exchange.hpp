@@ -41,10 +41,8 @@
 // pattern from it) and goes on as a fresh step, whose sends take exactly
 // the path they take with nothing kept. A step that matched throughout
 // routes the untouched pattern, whose unchanged identity() lets the
-// DeltaRouter return its last cost unhashed. Its mailbox refill keeps the
-// slot each parcel lands in, and the repeats after it put each parcel
-// straight back into its slot. Bitonic sort's MP-BSP merge steps, M
-// identical bit-flip permutations each, run this way.
+// DeltaRouter return its last cost unhashed. Bitonic sort's MP-BSP merge
+// steps, M identical bit-flip permutations each, run this way.
 //
 // Fault injection: when the machine carries a fault::Injector, the machine
 // rewrites the pattern (drops/duplicates) during exchange(); run() then
@@ -116,7 +114,6 @@ class Exchange {
   Mailbox<T>& run() {
     box_.close();
     if (repeating_ && sent_ < staged_.size()) diverge();  // fewer sends
-    const bool repeated = repeating_ && machine_.injector() == nullptr;
     // Under --audit: snapshot the injected per-endpoint byte totals before
     // the pattern is consumed, and require the mailbox to account for every
     // one of them afterwards (each parcel delivered exactly once, to the
@@ -142,16 +139,7 @@ class Exchange {
     // Under --race: stamp the mailbox with the delivery epoch so consuming
     // it after a reset() (stale read) is caught. Unstamped mailboxes carry
     // no machine pointer, so runs without the detector cannot dangle.
-    // A repeated step refills through the slots its first repeat kept.
-    const machines::Machine* stamp = race::enabled() ? &machine_ : nullptr;
-    if (!repeated) {
-      box_.refill(staged_, stamp);
-    } else if (slots_kept_) {
-      box_.refill_same_shape(staged_, stamp);
-    } else {
-      box_.refill(staged_, stamp, /*keep_slots=*/true);
-    }
-    slots_kept_ = repeated;
+    box_.refill(staged_, race::enabled() ? &machine_ : nullptr);
     // The next step is compared against this one, unless packet faults
     // rewrote it.
     sent_ = 0;
@@ -330,8 +318,6 @@ class Exchange {
   /// Every send of this step so far equalled the last step's parcel at its
   /// position, and pattern_ holds the last step.
   bool repeating_ = false;
-  /// The mailbox kept its slots for the shape in staged_.
-  bool slots_kept_ = false;
   Mailbox<T> box_;
   std::vector<std::size_t> drop_at_;  ///< Fault-path scratch.
   std::vector<std::size_t> dup_at_;   ///< Fault-path scratch.

@@ -18,9 +18,7 @@
 // destination, plus dense per-destination offsets that are reset sparsely
 // through the list of touched destinations. A step costs O(delivered
 // parcels), never O(P). A parcel's data is a span into its Exchange's
-// payload arena, so delivery copies no payload. A step that repeats the
-// last one's (src, dst) sequence puts each parcel straight back into the
-// slot it got at the first repeat, with no sort.
+// payload arena, so delivery copies no payload.
 //
 // Lifetime: a mailbox is valid until its Exchange's next send() or run().
 // The first send() after run() recycles the arena the spans point into and
@@ -105,11 +103,10 @@ class Mailbox {
   /// Refill from an Exchange's staged headers (fields src, dst, tag, data,
   /// len, copies, corrupted): a counting sort by destination that keeps
   /// each destination's parcels in staging order. `stamp` is the machine
-  /// to race-stamp against, or null. With `keep_slots` it also keeps the
-  /// slot each parcel lands in, for refill_same_shape().
+  /// to race-stamp against, or null.
   template <typename Staged>
   void refill(const std::vector<Staged>& staged,
-              const machines::Machine* stamp, bool keep_slots = false) {
+              const machines::Machine* stamp) {
     for (const int d : touched_) count_[static_cast<std::size_t>(d)] = 0;
     touched_.clear();
     std::size_t total = 0;
@@ -128,36 +125,14 @@ class Mailbox {
       begin_[static_cast<std::size_t>(d)] = end;
     }
     parcels_.resize(total);
-    if (keep_slots) slot_of_.resize(staged.size());
-    for (std::size_t i = staged.size(); i-- > 0;) {
-      const Staged& s = staged[i];
-      std::size_t& slot = begin_[static_cast<std::size_t>(s.dst)];
-      for (int c = 0; c < s.copies; ++c) {
+    for (auto it = staged.rbegin(); it != staged.rend(); ++it) {
+      std::size_t& slot = begin_[static_cast<std::size_t>(it->dst)];
+      for (int c = 0; c < it->copies; ++c) {
         parcels_[--slot] = Parcel<T>{
-            s.src, s.tag, std::span<const T>(s.data, s.len), s.corrupted};
+            it->src, it->tag, std::span<const T>(it->data, it->len),
+            it->corrupted};
       }
-      if (keep_slots) slot_of_[i] = slot;
     }
-    reopen(stamp);
-  }
-
-  /// Refill from staged headers, one copy each, whose (src, dst) sequence
-  /// is the one the last refill(..., keep_slots = true) sorted: every
-  /// parcel goes back into the slot it got then, and the destination
-  /// grouping stands as it is.
-  template <typename Staged>
-  void refill_same_shape(const std::vector<Staged>& staged,
-                         const machines::Machine* stamp) {
-    PCM_CHECK(staged.size() == slot_of_.size());
-    for (std::size_t i = 0; i < staged.size(); ++i) {
-      const Staged& s = staged[i];
-      parcels_[slot_of_[i]] = Parcel<T>{
-          s.src, s.tag, std::span<const T>(s.data, s.len), s.corrupted};
-    }
-    reopen(stamp);
-  }
-
-  void reopen(const machines::Machine* stamp) {
     machine_ = stamp;
     if (stamp != nullptr) {
       trial_ = stamp->trial();
@@ -186,9 +161,6 @@ class Mailbox {
   std::vector<std::size_t> begin_;   ///< Dense; valid where count_ > 0.
   std::vector<std::size_t> count_;   ///< Dense; zeroed through touched_.
   std::vector<int> touched_;         ///< Destinations with parcels.
-  /// Slot of each staged parcel at the last refill() that kept them, by
-  /// staging index.
-  std::vector<std::size_t> slot_of_;
   bool open_ = false;
   const machines::Machine* machine_ = nullptr;  ///< Race stamp; may be null.
   long trial_ = -1;

@@ -257,8 +257,7 @@ struct ScriptedSend {
 /// The steps a reused Exchange is driven through: a shape repeated three
 /// times, a step that diverges at parcel k, one with fewer parcels, one
 /// with more, one whose parcel k changes length only, an empty step, and
-/// the shape again after it, three times (the third refills through the
-/// slots the second kept). `repeats[i]` says whether step i
+/// the shape again after it, twice. `repeats[i]` says whether step i
 /// repeats step i - 1's shape (src, dst and length of every parcel).
 struct Script {
   std::vector<std::vector<ScriptedSend>> steps;
@@ -279,17 +278,17 @@ Script repeat_script(int procs) {
   auto longer = shape;
   longer[k].len = 3;
   Script s;
-  s.steps = {shape, shape,  shape, diverged, shape, fewer, shape,
-             more,  shape,  longer, {},      shape, shape, shape};
-  s.repeats = {false, true,  true,  false, false, false, false,
-               false, false, false, false, false, true,  true};
+  s.steps = {shape,  shape, shape, diverged, shape, fewer, shape,
+             more,   shape, longer, {},      shape, shape};
+  s.repeats = {false, true, true, false, false, false, false,
+               false, false, false, false, false, true};
   return s;
 }
 
 /// Drive a reused Exchange through repeat_script() on one machine and a
 /// fresh Exchange per step on a twin built from the same spec: every step
 /// must deliver the same transcript and leave the same clocks. Payloads and
-/// tags change every step, so a stale parcel or slot would show.
+/// tags change every step, so a stale parcel would show.
 void expect_reused_matches_fresh(const machines::MachineSpec& spec,
                                  TransferMode mode) {
   SCOPED_TRACE(machines::to_string(spec) +

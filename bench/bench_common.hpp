@@ -99,9 +99,8 @@ constexpr FlagHelp kFlagHelp[] = {
      "               occupancy leaks, clock monotonicity) as the\n"
      "               sweep runs\n"},
     {"race",
-     "  --race       check BSP superstep ordering (write-write,\n"
-     "               read-before-sync, stale mailbox reads, bypass\n"
-     "               writes) as the sweep runs\n"},
+     "  --race       check BSP superstep ordering (no mailbox read\n"
+     "               after its machine's reset()) as the sweep runs\n"},
     {"fault",
      "  --fault=SPEC inject deterministic faults; SPEC is\n"
      "               kind[:rate=R][:severity=X][:seed=S][:from=A][:to=B]\n"

@@ -204,9 +204,9 @@ int usage() {
          "machines: maspar, gcel, cm5, t800 — or a spec like "
          "\"gcel:procs=16:seed=7\"\n"
          "global flags: --audit  check runtime invariants while the command runs\n"
-         "              --race   check BSP superstep ordering (split-phase\n"
-         "                       conflicts, stale mailbox reads) while the\n"
-         "                       command runs\n"
+         "              --race   check BSP superstep ordering (no mailbox\n"
+         "                       read after its machine's reset()) while\n"
+         "                       the command runs\n"
          "              --fault=SPEC  inject deterministic faults while the\n"
          "                       command runs; SPEC is kind[:rate=R]\n"
          "                       [:severity=X][:seed=S][:from=A][:to=B] with\n"

@@ -9,20 +9,10 @@
 
 namespace pcm::machines {
 
-namespace {
-
-class CM5Machine final : public Machine {
- public:
-  CM5Machine(std::uint64_t seed, int procs)
-      : Machine("TMC CM-5", procs, cm5_compute(),
-                std::make_unique<net::FatTree>(procs),
-                /*barrier_cost=*/40.0, seed) {}
-};
-
-}  // namespace
-
 std::unique_ptr<Machine> detail::build_cm5(std::uint64_t seed, int procs) {
-  return std::make_unique<CM5Machine>(seed, procs);
+  return std::make_unique<Machine>("TMC CM-5", procs, cm5_compute(),
+                                   std::make_unique<net::FatTree>(procs),
+                                   /*barrier_cost=*/40.0, seed);
 }
 
 }  // namespace pcm::machines

@@ -10,32 +10,12 @@
 
 namespace pcm::machines {
 
-namespace {
-
-net::MeshRouterParams mesh_params(int procs) {
-  net::MeshRouterParams p;
-  // Square-ish mesh for the requested node count (8x8 for the default 64).
-  int w = 1;
-  while (w * w < procs) ++w;
-  while (procs % w != 0) ++w;
-  p.width = w;
-  p.height = procs / w;
-  return p;
-}
-
-class GCelMachine final : public Machine {
- public:
-  GCelMachine(std::uint64_t seed, int procs)
-      : Machine("Parsytec GCel", procs, gcel_compute(),
-                std::make_unique<net::MeshRouter>(procs, mesh_params(procs),
-                                                  seed ^ 0x5bd1e995u),
-                /*barrier_cost=*/3800.0, seed) {}
-};
-
-}  // namespace
-
 std::unique_ptr<Machine> detail::build_gcel(std::uint64_t seed, int procs) {
-  return std::make_unique<GCelMachine>(seed, procs);
+  return std::make_unique<Machine>(
+      "Parsytec GCel", procs, gcel_compute(),
+      std::make_unique<net::MeshRouter>(procs, net::squarest_mesh(procs),
+                                        seed ^ 0x5bd1e995u),
+      /*barrier_cost=*/3800.0, seed);
 }
 
 }  // namespace pcm::machines

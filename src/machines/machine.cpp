@@ -17,6 +17,7 @@
 #include "net/delta_router.hpp"
 #include "net/fat_tree.hpp"
 #include "net/mesh_router.hpp"
+#include "sim/check.hpp"
 
 namespace pcm::machines {
 
@@ -29,8 +30,8 @@ Machine::Machine(std::string name, int procs, LocalCompute compute,
       clocks_(procs),
       barrier_cost_(barrier_cost),
       rng_(seed) {
-  assert(router_ != nullptr);
-  assert(router_->procs() == procs);
+  PCM_CHECK(router_ != nullptr);
+  PCM_CHECK(router_->procs() == procs);
   router_->set_metrics(&metrics_);
   set_observing(obs::enabled());
   router_->new_trial(rng_);
@@ -181,9 +182,8 @@ void Machine::barrier() {
   }
   if (spans_.on()) spans_.on_barrier(before, now(), superstep_);
   ++superstep_;
-  // The superstep counter is the race detector's happens-before epoch;
-  // advancing it here is what orders pre-barrier writes before post-barrier
-  // reads in the shadow state.
+  // The superstep counter is half of the race detector's happens-before
+  // epoch; a barrier crossed under --race counts as one passed check.
   if (race::enabled()) race::count_check();
 }
 

@@ -35,6 +35,13 @@ class Machine {
  public:
   virtual ~Machine() = default;
 
+  /// A machine named `name` of `procs` processors with `compute`'s local
+  /// costs, joined by `router` (built for `procs`), whose barrier costs
+  /// `barrier_cost` µs. `seed` seeds the machine's RNG stream.
+  Machine(std::string name, int procs, LocalCompute compute,
+          std::unique_ptr<net::Router> router, sim::Micros barrier_cost,
+          std::uint64_t seed);
+
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
@@ -111,11 +118,6 @@ class Machine {
   [[nodiscard]] const fault::ExchangeFaults& last_exchange_faults() const {
     return last_faults_;
   }
-
- protected:
-  Machine(std::string name, int procs, LocalCompute compute,
-          std::unique_ptr<net::Router> router, sim::Micros barrier_cost,
-          std::uint64_t seed);
 
  private:
   std::string name_;

@@ -11,20 +11,10 @@
 
 namespace pcm::machines {
 
-namespace {
-
-class MasParMachine final : public Machine {
- public:
-  MasParMachine(std::uint64_t seed, int procs)
-      : Machine("MasPar MP-1", procs, maspar_compute(),
-                std::make_unique<net::DeltaRouter>(procs),
-                /*barrier_cost=*/0.0, seed) {}
-};
-
-}  // namespace
-
 std::unique_ptr<Machine> detail::build_maspar(std::uint64_t seed, int procs) {
-  return std::make_unique<MasParMachine>(seed, procs);
+  return std::make_unique<Machine>("MasPar MP-1", procs, maspar_compute(),
+                                   std::make_unique<net::DeltaRouter>(procs),
+                                   /*barrier_cost=*/0.0, seed);
 }
 
 }  // namespace pcm::machines

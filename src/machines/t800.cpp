@@ -16,12 +16,7 @@ namespace pcm::machines {
 namespace {
 
 net::MeshRouterParams t800_params(int procs) {
-  net::MeshRouterParams p;
-  int w = 1;
-  while (w * w < procs) ++w;
-  while (procs % w != 0) ++w;
-  p.width = w;
-  p.height = procs / w;
+  net::MeshRouterParams p = net::squarest_mesh(procs);
   // Native Parix: thin send path, receive matching still the larger half.
   p.o_send = 45.0;
   p.o_recv = 320.0;
@@ -38,19 +33,14 @@ net::MeshRouterParams t800_params(int procs) {
   return p;
 }
 
-class T800Machine final : public Machine {
- public:
-  T800Machine(std::uint64_t seed, int procs)
-      : Machine("T800 grid (Parix)", procs, gcel_compute(),
-                std::make_unique<net::MeshRouter>(procs, t800_params(procs),
-                                                  seed ^ 0x2545f491u),
-                /*barrier_cost=*/600.0, seed) {}
-};
-
 }  // namespace
 
 std::unique_ptr<Machine> detail::build_t800(std::uint64_t seed, int procs) {
-  return std::make_unique<T800Machine>(seed, procs);
+  return std::make_unique<Machine>(
+      "T800 grid (Parix)", procs, gcel_compute(),
+      std::make_unique<net::MeshRouter>(procs, t800_params(procs),
+                                        seed ^ 0x2545f491u),
+      /*barrier_cost=*/600.0, seed);
 }
 
 }  // namespace pcm::machines

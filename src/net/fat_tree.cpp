@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "audit/audit.hpp"
 
@@ -15,6 +17,24 @@ namespace {
 double clipped_jitter(double gaussian, double sigma) {
   const double g = std::clamp(gaussian, -3.0, 3.0);
   return std::max(0.5, 1.0 + sigma * g);
+}
+
+int checked_procs(int procs, const FatTreeParams& p) {
+  const std::pair<const char*, double> fields[] = {
+      {"o_send", p.o_send},         {"copy_send", p.copy_send},
+      {"t_lat", p.t_lat},           {"t_eject", p.t_eject},
+      {"eject_byte", p.eject_byte}, {"o_recv", p.o_recv},
+      {"copy_recv", p.copy_recv},   {"bulk_setup", p.bulk_setup},
+      {"capacity_slack", p.capacity_slack},
+      {"kappa_hotspot", p.kappa_hotspot},
+      {"jitter", p.jitter}};
+  for (const auto& [name, value] : fields) {
+    if (!(value >= 0.0)) {
+      throw std::invalid_argument(std::string("FatTree: ") + name +
+                                  " must be >= 0, got " + std::to_string(value));
+    }
+  }
+  return procs;
 }
 
 }  // namespace
@@ -52,7 +72,7 @@ void FatTree::PortQueue::clear() {
 }
 
 FatTree::FatTree(int procs, FatTreeParams params)
-    : Router(procs),
+    : Router(checked_procs(procs, params)),
       params_(params),
       cpu_free_(static_cast<std::size_t>(procs), 0.0),
       port_free_(static_cast<std::size_t>(procs), 0.0),

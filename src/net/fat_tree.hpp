@@ -73,6 +73,9 @@ struct FatTreeParams {
 
 class FatTree final : public Router {
  public:
+  /// Throws std::invalid_argument unless every cost and factor of `params`
+  /// (all but bulk_threshold) is >= 0, which also rejects NaN: a negative
+  /// cost would move a sender's CPU backwards.
   FatTree(int procs, FatTreeParams params = {});
 
   void route(const CommPattern& pattern, sim::ClockSet& clocks,

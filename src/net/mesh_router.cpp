@@ -65,6 +65,17 @@ int checked_procs(int procs, const MeshRouterParams& p) {
 
 }  // namespace
 
+MeshRouterParams squarest_mesh(int procs) {
+  int height = 1;
+  for (int d = 1; d <= procs / d; ++d) {
+    if (procs % d == 0) height = d;
+  }
+  MeshRouterParams p;
+  p.width = procs / height;
+  p.height = height;
+  return p;
+}
+
 MeshRouter::MeshRouter(int procs, MeshRouterParams params, std::uint64_t seed)
     : Router(checked_procs(procs, params)),
       params_(params),

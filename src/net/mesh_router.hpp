@@ -67,6 +67,11 @@ struct MeshRouterParams {
                                       ///< (PVM buffer management churn).
 };
 
+/// Default parameters on the squarest width x height mesh of `procs` nodes,
+/// the wider side as width (8x8 for 64, 8x6 for 48, 7x1 for 7). The GCel,
+/// the T800 grid and MachineBuilder::procs() shape their meshes with it.
+[[nodiscard]] MeshRouterParams squarest_mesh(int procs);
+
 class MeshRouter final : public Router {
  public:
   /// Throws std::invalid_argument unless width * height == procs and

@@ -1,150 +1,28 @@
 #pragma once
 
-#include <cmath>
+#include <utility>
 #include <vector>
 
-#include "runtime/dist.hpp"
 #include "runtime/exchange.hpp"
 #include "runtime/grid.hpp"
 #include "sim/check.hpp"
 
-// The communication primitives the paper's algorithms are built from:
+// The MP-BPRAM collectives of Section 4.3.1 that sample sort is built from:
 //
-//   - one_to_all_broadcast: root sends a vector to every group member
-//     (the splitter broadcast of sample sort under (MP-)BSP, cost
-//     g*(P-1) + L);
-//   - two_phase_broadcast: scatter + all-gather within a group, the
-//     optimal BSP broadcast of [16] used by the APSP row/column broadcast
-//     (cost 2*(g*n + L) instead of g*n*|group|);
-//   - multiscan: the BSP multi-scan of [16] — processor p holds counts for
-//     every bucket b; the result gives the exclusive prefix over processors
-//     per bucket (cost T_scan = 2*(g*P + L)); sample sort uses it to compute
-//     send addresses;
-//   - bpram_allgather_one: the sqrt(P) x sqrt(P) transpose-based broadcast
-//     of Section 4.3.1 (each processor contributes one value, everyone ends
-//     with all P; 2*sqrt(P) block steps of sqrt(P)-element messages).
+//   - bpram_transpose: a P x P matrix held row-per-processor, transposed by
+//     the sqrt(P) x sqrt(P) submatrix scheme (2*sqrt(P) single-port block
+//     steps of sqrt(P)-element messages);
+//   - bpram_multiscan: two transposes around a local exclusive prefix per
+//     bucket, giving every processor its write offsets per bucket (the
+//     paper's 4*sqrt(P)*(sigma*w*sqrt(P) + ell) cost);
+//   - bpram_allgather_one: the transpose-based broadcast (each processor
+//     contributes one value, everyone ends with all P).
 //
-// All primitives run on real data and charge real (simulated) time through
-// the Exchange layer; `mode` picks word (BSP-style) or block (MP-BPRAM
-// style) transfers. Because every data motion goes through Exchange/Mailbox,
-// the collectives are fully covered by the race detector (--race): each
-// mailbox consumption below re-checks the delivery epoch, so a collective
-// that leaked a parcel across a reset() would be caught as a stale read.
+// All three run on real data and charge real (simulated) time through the
+// Exchange layer in Block mode, so every data motion below is routed, timed
+// and covered by the race check (--race) like any other Exchange step.
 
 namespace pcm::runtime {
-
-/// Root sends `data` to every member of `group` (including itself, free).
-/// Sends are staggered in group order. Returns nothing: every member's copy
-/// is by construction `data`; callers track that locally.
-template <typename T>
-void one_to_all_broadcast(machines::Machine& m, int root,
-                          const std::vector<int>& group,
-                          const std::vector<T>& data, TransferMode mode) {
-  Exchange<T> ex(m, mode);
-  for (int g : group) {
-    if (g == root) continue;
-    ex.send(root, g, std::span<const T>(data));
-  }
-  (void)ex.run();
-}
-
-/// Scatter+all-gather broadcast: `root` holds `data`; afterwards every
-/// member of `group` holds it. Returns the gathered copy (identical for all
-/// members; returned once to let callers install it).
-template <typename T>
-std::vector<T> two_phase_broadcast(machines::Machine& m, int root,
-                                   const std::vector<int>& group,
-                                   const std::vector<T>& data,
-                                   TransferMode mode) {
-  const int g = static_cast<int>(group.size());
-  PCM_CHECK(g > 0);
-  BlockDist dist{static_cast<long>(data.size()), g};
-
-  // Superstep 1: scatter chunks across the group.
-  Exchange<T> ex(m, mode);
-  for (int i = 0; i < g; ++i) {
-    const auto [lo, hi] = dist.range_of(i);
-    if (hi == lo || group[static_cast<std::size_t>(i)] == root) continue;
-    ex.send(root, group[static_cast<std::size_t>(i)],
-            std::span<const T>(data.data() + lo, static_cast<std::size_t>(hi - lo)));
-  }
-  (void)ex.run();
-
-  // Superstep 2: all-gather — member i sends its chunk to every other
-  // member, staggered so that member i starts with destination i+1.
-  for (int i = 0; i < g; ++i) {
-    const auto [lo, hi] = dist.range_of(i);
-    if (hi == lo) continue;
-    const std::span<const T> chunk(data.data() + lo,
-                                   static_cast<std::size_t>(hi - lo));
-    for (int d = 1; d < g; ++d) {
-      const int dst = group[static_cast<std::size_t>((i + d) % g)];
-      if (dst == group[static_cast<std::size_t>(i)]) continue;
-      ex.send(group[static_cast<std::size_t>(i)], dst, chunk);
-    }
-  }
-  (void)ex.run();
-  return data;
-}
-
-/// BSP multi-scan [16]: counts[p][b] = number of items processor p sends to
-/// bucket b (b < P). Returns offsets[p][b] = sum over p' < p of
-/// counts[p'][b] — the write addresses sample sort needs. Two supersteps of
-/// P-relations (T_scan = 2*(g*P + L)).
-template <typename T>
-std::vector<std::vector<T>> multiscan(machines::Machine& m,
-                                      const std::vector<std::vector<T>>& counts,
-                                      TransferMode mode) {
-  const int P = m.procs();
-  PCM_CHECK(static_cast<int>(counts.size()) == P);
-
-  // Superstep 1: transpose — processor p sends counts[p][b] to processor b.
-  Exchange<T> ex(m, mode);
-  for (int p = 0; p < P; ++p) {
-    PCM_CHECK(static_cast<int>(counts[static_cast<std::size_t>(p)].size()) == P);
-    for (int d = 0; d < P; ++d) {
-      const int b = (p + d) % P;  // staggered
-      ex.send_value(p, b, counts[static_cast<std::size_t>(p)][static_cast<std::size_t>(b)], p);
-    }
-  }
-  const auto& box = ex.run();
-
-  // Local prefix sums per bucket owner; charge P ops each.
-  std::vector<std::vector<T>> column(static_cast<std::size_t>(P));
-  for (int b = 0; b < P; ++b) {
-    auto& col = column[static_cast<std::size_t>(b)];
-    col.assign(static_cast<std::size_t>(P), T{});
-    for (const auto& parcel : box.at(b)) {
-      col[static_cast<std::size_t>(parcel.src)] = parcel.data.front();
-    }
-    T acc{};
-    for (int p = 0; p < P; ++p) {
-      const T c = col[static_cast<std::size_t>(p)];
-      col[static_cast<std::size_t>(p)] = acc;
-      acc = static_cast<T>(acc + c);
-    }
-    m.charge(b, m.compute().ops_time(P));
-  }
-
-  // Superstep 2: send the exclusive prefixes back.
-  for (int b = 0; b < P; ++b) {
-    for (int d = 0; d < P; ++d) {
-      const int p = (b + d) % P;  // staggered
-      ex.send_value(b, p, column[static_cast<std::size_t>(b)][static_cast<std::size_t>(p)], b);
-    }
-  }
-  const auto& box2 = ex.run();
-
-  std::vector<std::vector<T>> offsets(static_cast<std::size_t>(P));
-  for (int p = 0; p < P; ++p) {
-    auto& row = offsets[static_cast<std::size_t>(p)];
-    row.assign(static_cast<std::size_t>(P), T{});
-    for (const auto& parcel : box2.at(p)) {
-      row[static_cast<std::size_t>(parcel.tag)] = parcel.data.front();
-    }
-  }
-  return offsets;
-}
 
 /// Transpose of a P x P matrix held row-per-processor, using the
 /// sqrt(P) x sqrt(P) submatrix scheme of Section 4.3.1: each processor
@@ -226,8 +104,10 @@ std::vector<std::vector<T>> bpram_transpose(
   return cols;
 }
 
-/// MP-BPRAM multi-scan (Section 4.3.1): same result as multiscan() but built
-/// from two transposes (4*sqrt(P) block steps, the paper's
+/// MP-BPRAM multi-scan (Section 4.3.1): counts[p][b] = number of items
+/// processor p sends to bucket b (b < P). Returns offsets[p][b] = sum over
+/// p' < p of counts[p'][b], the write addresses sample sort needs. Built from
+/// two transposes (4*sqrt(P) block steps, the paper's
 /// 4*sqrt(P)*(sigma*w*sqrt(P) + ell) cost).
 template <typename T>
 std::vector<std::vector<T>> bpram_multiscan(
@@ -316,112 +196,6 @@ std::vector<std::vector<T>> bpram_allgather_one(machines::Machine& m,
     }
   }
   return gathered;
-}
-
-/// Binomial-tree broadcast: log2(group) rounds; in round k every processor
-/// that already has the data forwards it to the member 2^k positions ahead.
-/// The [16] analysis: the tree costs (g*n + L)*log P — better than the
-/// two-phase broadcast only for small vectors, where the 2L term dominates.
-template <typename T>
-std::vector<T> tree_broadcast(machines::Machine& m, int root,
-                              const std::vector<int>& group,
-                              const std::vector<T>& data, TransferMode mode) {
-  const int g = static_cast<int>(group.size());
-  PCM_CHECK(g > 0);
-  // Rotate the group so the root sits at position 0.
-  int root_pos = 0;
-  for (int i = 0; i < g; ++i) {
-    if (group[static_cast<std::size_t>(i)] == root) root_pos = i;
-  }
-  auto member = [&](int logical) {
-    return group[static_cast<std::size_t>((root_pos + logical) % g)];
-  };
-  Exchange<T> ex(m, mode);
-  for (int have = 1; have < g; have <<= 1) {
-    for (int src = 0; src < have; ++src) {
-      const int dst = src + have;
-      if (dst >= g) break;
-      ex.send(member(src), member(dst), std::span<const T>(data));
-    }
-    (void)ex.run();
-    m.barrier();
-  }
-  return data;
-}
-
-/// Reduction to `root` over a group: mirror of the tree broadcast
-/// (log2(group) combining rounds). `op` combines two T values.
-template <typename T, typename Op>
-T tree_reduce(machines::Machine& m, int root, const std::vector<int>& group,
-              const std::vector<T>& contribution, Op op, TransferMode mode) {
-  const int g = static_cast<int>(group.size());
-  PCM_CHECK(static_cast<int>(contribution.size()) == g &&
-         "one contribution per group member, indexed by group position");
-  int root_pos = 0;
-  for (int i = 0; i < g; ++i) {
-    if (group[static_cast<std::size_t>(i)] == root) root_pos = i;
-  }
-  auto member = [&](int logical) {
-    return group[static_cast<std::size_t>((root_pos + logical) % g)];
-  };
-  std::vector<T> acc = contribution;
-  // Rotate accumulators into root-relative positions.
-  std::vector<T> rel(static_cast<std::size_t>(g));
-  for (int i = 0; i < g; ++i) {
-    rel[static_cast<std::size_t>(i)] =
-        acc[static_cast<std::size_t>((root_pos + i) % g)];
-  }
-  int span = 1;
-  while (span < g) span <<= 1;
-  Exchange<T> ex(m, mode);
-  for (int half = span >> 1; half >= 1; half >>= 1) {
-    for (int src = half; src < std::min(2 * half, g); ++src) {
-      ex.send_value(member(src), member(src - half),
-                    rel[static_cast<std::size_t>(src)], src);
-    }
-    const auto& box = ex.run();
-    for (int dst = 0; dst < half; ++dst) {
-      for (const auto& parcel : box.at(member(dst))) {
-        rel[static_cast<std::size_t>(dst)] =
-            op(rel[static_cast<std::size_t>(dst)], parcel.data.front());
-        m.charge(member(dst), m.compute().op);
-      }
-    }
-    m.barrier();
-  }
-  return rel[0];
-}
-
-/// Exclusive prefix (scan) over one value per processor, by the two-superstep
-/// BSP scheme of [16]: gather-to-groups, local scan, redistribute. Here the
-/// simple log-rounds Hillis-Steele variant, adequate for tests and examples.
-template <typename T>
-std::vector<T> prefix_scan(machines::Machine& m, const std::vector<T>& value,
-                           TransferMode mode) {
-  const int P = m.procs();
-  PCM_CHECK(static_cast<int>(value.size()) == P);
-  std::vector<T> incl = value;
-  Exchange<T> ex(m, mode);
-  for (int d = 1; d < P; d <<= 1) {
-    for (int p = 0; p + d < P; ++p) {
-      ex.send_value(p, p + d, incl[static_cast<std::size_t>(p)], p);
-    }
-    const auto& box = ex.run();
-    for (int p = d; p < P; ++p) {
-      for (const auto& parcel : box.at(p)) {
-        incl[static_cast<std::size_t>(p)] = static_cast<T>(
-            incl[static_cast<std::size_t>(p)] + parcel.data.front());
-        m.charge(p, m.compute().op);
-      }
-    }
-    m.barrier();
-  }
-  // Inclusive -> exclusive: excl[p] = incl[p-1].
-  std::vector<T> excl(static_cast<std::size_t>(P), T{});
-  for (int p = 1; p < P; ++p) {
-    excl[static_cast<std::size_t>(p)] = incl[static_cast<std::size_t>(p - 1)];
-  }
-  return excl;
 }
 
 }  // namespace pcm::runtime

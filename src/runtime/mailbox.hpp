@@ -148,7 +148,7 @@ class Mailbox {
     if (machine_ == nullptr || !race::enabled()) return;
     if (machine_->trial() != trial_) {
       race::fail("stale-mailbox-read", std::string(machine_->name()),
-                 machine_->superstep(), p, -1, -1,
+                 machine_->superstep(), p,
                  "parcels delivered at superstep " + std::to_string(epoch_) +
                      " of trial " + std::to_string(trial_) +
                      " consumed on trial " + std::to_string(machine_->trial()) +

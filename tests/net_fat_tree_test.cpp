@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <string_view>
 
 #include "audit/audit.hpp"
@@ -122,6 +124,28 @@ TEST_F(FatTreeTest, ThroughputScalesWithH) {
   const double t16 = run_h(16);
   EXPECT_GT(t16, 1.6 * t8);
   EXPECT_LT(t16, 2.6 * t8);
+}
+
+TEST(FatTree, RejectsNegativeCosts) {
+  // Every cost and factor must be >= 0 (NaN fails that too): a negative one
+  // would move a sender's CPU backwards without the auditor on.
+  using Field = double FatTreeParams::*;
+  for (const Field f :
+       {&FatTreeParams::o_send, &FatTreeParams::copy_send,
+        &FatTreeParams::t_lat, &FatTreeParams::t_eject,
+        &FatTreeParams::eject_byte, &FatTreeParams::o_recv,
+        &FatTreeParams::copy_recv, &FatTreeParams::bulk_setup,
+        &FatTreeParams::capacity_slack, &FatTreeParams::kappa_hotspot,
+        &FatTreeParams::jitter}) {
+    for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+      FatTreeParams params;
+      params.*f = bad;
+      EXPECT_THROW(FatTree(64, params), std::invalid_argument);
+    }
+    FatTreeParams zero;
+    zero.*f = 0.0;
+    EXPECT_NO_THROW(FatTree(64, zero));
+  }
 }
 
 // The fat tree's exact output, pinned bit for bit so that a faster event
@@ -274,8 +298,10 @@ TEST(FatTreeStream, AuditedRouteThatThrowsMidStreamLeavesNoHelperBehind) {
     }
   }
   ASSERT_GE(3 * pat.size(), 50 * sim::GaussianStream::kChunkDraws);
+  // The constructor rejects a negative cost; an infinite one passes and
+  // makes the one 128-byte (bulk) message's injection cost non-finite.
   FatTreeParams params;
-  params.bulk_setup = -1000.0;
+  params.bulk_setup = std::numeric_limits<double>::infinity();
   {
     const AuditOn audit_on;
     for (std::uint64_t rep = 0; rep < 20; ++rep) {
@@ -284,7 +310,7 @@ TEST(FatTreeStream, AuditedRouteThatThrowsMidStreamLeavesNoHelperBehind) {
       sim::ClockSet clocks(64);
       try {
         router.route(pat, clocks, rng);
-        ADD_FAILURE() << "the negative bulk cost was not reported";
+        ADD_FAILURE() << "the infinite bulk cost was not reported";
       } catch (const audit::AuditError& e) {
         EXPECT_EQ(e.invariant(), "clock-monotonicity");
         EXPECT_EQ(e.resource(), "fat-tree");

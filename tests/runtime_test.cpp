@@ -7,7 +7,6 @@
 #include "runtime/dist.hpp"
 #include "runtime/exchange.hpp"
 #include "runtime/grid.hpp"
-#include "runtime/spmd.hpp"
 #include "test_util.hpp"
 
 namespace pcm::runtime {
@@ -360,26 +359,6 @@ TEST(ExchangeRepeat, StagedMessagesCountsOnlyThisStep) {
   ex.send(4, 5, std::vector<int>{1});  // differs: the prefix is re-staged
   EXPECT_EQ(ex.staged_messages(), 3u);
   EXPECT_EQ(ex.pattern().size(), 3u);
-}
-
-TEST(Spmd, ChargeUniformAndStopwatch) {
-  auto m = test::small_gcel();
-  SimStopwatch sw(*m);
-  charge_uniform(*m, 10.0);
-  EXPECT_DOUBLE_EQ(sw.elapsed(), 10.0);
-  sw.restart();
-  EXPECT_DOUBLE_EQ(sw.elapsed(), 0.0);
-}
-
-TEST(Spmd, ForEachProcVisitsAll) {
-  auto m = test::small_cm5();
-  int count = 0;
-  for_each_proc(*m, [&](int p) {
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, m->procs());
-    ++count;
-  });
-  EXPECT_EQ(count, m->procs());
 }
 
 }  // namespace
